@@ -29,7 +29,9 @@ pub enum CorrSubstrate {
 /// The paper computes the full `Γ_R` for every slot offline; at 607 roads
 /// × 288 slots that is ~100 GB of doubles, so (like any real deployment
 /// would) the table is materialized lazily per slot and cached — the
-/// computation is identical, only the schedule differs.
+/// computation is identical, only the schedule differs. A dense table is
+/// lazy per row too: a round builds the rows it reads, and
+/// [`Self::prewarm`] builds the rest.
 pub struct OfflineArtifacts {
     model: RtfModel,
     semantics: PathCorrelation,
@@ -89,9 +91,9 @@ impl OfflineArtifacts {
     }
 
     /// Routes lazy correlation-table builds through `obs` (one
-    /// `corr.dijkstra_row` span per road). Cached tables built before the
-    /// swap keep whatever instrumentation they were built under; the cache
-    /// is deliberately left intact so the swap is cheap.
+    /// `corr.dijkstra_row` span per row built). Cached tables created
+    /// before the swap keep whatever instrumentation they were created
+    /// under; the cache is deliberately left intact so the swap is cheap.
     pub fn set_obs(&mut self, obs: ObsHandle) {
         self.obs = obs;
     }
@@ -107,12 +109,14 @@ impl OfflineArtifacts {
         &self.model
     }
 
-    /// The correlation table for a slot, building it on first use.
+    /// The correlation table for a slot, creating it on first use.
     ///
     /// Per-slot once-initialization: a warm slot returns immediately even
     /// while another slot's table is mid-build, and duplicate concurrent
     /// builds of the same cold slot coalesce (exactly one build runs; the
-    /// rest block on it and share the resulting `Arc`).
+    /// rest block on it and share the resulting `Arc`). A dense table is
+    /// created empty and builds each row on its first read; a sparse table
+    /// is built whole.
     pub fn corr_table(&self, graph: &Graph, slot: SlotOfDay) -> Arc<CorrTable> {
         self.corr_entry(slot, || match self.substrate {
             CorrSubstrate::Sparse(config) if self.semantics == PathCorrelation::MaxProduct => {
@@ -126,15 +130,27 @@ impl OfflineArtifacts {
                 ))
             }
             // Dense, or the ReciprocalSum ablation (no sound sparse bound).
-            _ => CorrTable::Dense(CorrelationTable::build_observed(
+            _ => CorrTable::Dense(CorrelationTable::new(
                 graph,
                 &self.model,
                 slot,
                 self.semantics,
-                &ComputePool::from_env(),
-                &self.obs,
+                self.obs.clone(),
             )),
         })
+    }
+
+    /// The slot's table with every row built, fanned across the
+    /// `RTSE_THREADS`-sized pool: what a serving layer runs before a slot
+    /// takes traffic, so no round of that slot pays a row build. Rows
+    /// already built are kept, so repeated prewarms of one slot build
+    /// nothing.
+    pub fn prewarm(&self, graph: &Graph, slot: SlotOfDay) -> Arc<CorrTable> {
+        let table = self.corr_table(graph, slot);
+        if let CorrTable::Dense(dense) = table.as_ref() {
+            dense.fill(&ComputePool::from_env());
+        }
+        table
     }
 
     /// Per-slot get-or-init, separated from [`Self::corr_table`] so tests

@@ -110,11 +110,18 @@ fn second_round_matches_full_within_tolerance_and_skips_relaxations() {
         for (i, (f, d)) in full2.all_values.iter().zip(&delta2.all_values).enumerate() {
             assert!((f - d).abs() < 1e-3, "{substrate:?}: road {i} drifted: full {f} vs delta {d}");
         }
-        assert!(
-            reg.count(Stage::GspDeltaSkipped) > skipped_before,
-            "{substrate:?}: a localized change must skip relaxations"
-        );
-        assert_eq!(reg.count(Stage::GspDeltaFrontier), 1, "{substrate:?}: frontier not recorded");
+        if e.obs().is_enabled() {
+            // Under obs-noop every registry stays at zero.
+            assert!(
+                reg.count(Stage::GspDeltaSkipped) > skipped_before,
+                "{substrate:?}: a localized change must skip relaxations"
+            );
+            assert_eq!(
+                reg.count(Stage::GspDeltaFrontier),
+                1,
+                "{substrate:?}: frontier not recorded"
+            );
+        }
     }
 }
 

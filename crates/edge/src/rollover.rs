@@ -90,10 +90,10 @@ pub(crate) fn prewarm_loop(
         let now = Instant::now();
         let next = clock.next_slot(now);
         if clock.until_next(now) <= lead && warmed != Some(next) {
-            // Γ first: the table build is the expensive half and is
-            // per-slot get-or-init, so a concurrent client query for the
-            // same slot coalesces instead of duplicating the Dijkstras.
-            let _ = engine.offline().corr_table(engine.graph(), next);
+            // Γ first: the full table build is the expensive half, and
+            // each row is get-or-init, so a concurrent client query for
+            // the same slot shares rows instead of duplicating Dijkstras.
+            let _ = engine.offline().prewarm(engine.graph(), next);
             let warm = ServeRequest::new(vec![RoadId(0)], next);
             let _ = handle.query(warm);
             warmed = Some(next);

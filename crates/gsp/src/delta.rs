@@ -506,8 +506,11 @@ mod tests {
             &[],
             &handle,
         );
-        assert_eq!(reg.count(Stage::GspDeltaFrontier), 1);
-        assert_eq!(reg.count(Stage::GspDeltaSkipped), delta.skipped as u64);
+        if handle.is_enabled() {
+            // Under obs-noop every registry stays at zero.
+            assert_eq!(reg.count(Stage::GspDeltaFrontier), 1);
+            assert_eq!(reg.count(Stage::GspDeltaSkipped), delta.skipped as u64);
+        }
     }
 
     #[test]

@@ -69,10 +69,19 @@ impl<'a> SelectionState<'a> {
     /// True when `r` can be added: affordable, not already chosen, and not
     /// redundant (`corr(r, chosen) ≤ θ` pairwise).
     pub fn is_feasible_addition(&self, r: RoadId) -> bool {
-        if self.chosen.contains(&r) || self.inst.cost(r) > self.remaining_budget() {
-            return false;
-        }
-        self.chosen.iter().all(|&c| self.inst.corr.corr(r, c) <= self.inst.theta)
+        self.is_affordable_new(r) && !self.is_redundant(r)
+    }
+
+    /// True when `r` is not chosen yet and fits the remaining budget. Reads
+    /// no correlation.
+    pub(crate) fn is_affordable_new(&self, r: RoadId) -> bool {
+        !self.chosen.contains(&r) && self.inst.cost(r) <= self.remaining_budget()
+    }
+
+    /// True unless `corr(r, c) ≤ θ` for every chosen `c`. Reads only row
+    /// `r` of Γ.
+    pub(crate) fn is_redundant(&self, r: RoadId) -> bool {
+        !self.chosen.iter().all(|&c| self.inst.corr.corr(r, c) <= self.inst.theta)
     }
 
     /// Adds `r`, updating value, spend and per-query bests.

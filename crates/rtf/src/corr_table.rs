@@ -13,12 +13,24 @@
 //!
 //! Road–set correlation (Eq. 11) is the max over the set; set–set (Eq. 12)
 //! sums road–set values over the queried roads.
+//!
+//! ## Rows on demand
+//!
+//! The paper fills `Γ` offline for every slot. An online round only reads
+//! the rows of its queried roads and of the candidates OCS commits or
+//! rejects at commit, a few dozen of `|R|`. [`CorrelationTable`] therefore
+//! keeps one once-cell per row: [`CorrelationTable::new`] computes only the
+//! slot's edge weights, and the first read of row `a` runs that row's
+//! single-source Dijkstra. A row's bits do not depend on when, where or how
+//! often it is asked for, so a table filled on demand and one filled up
+//! front by [`CorrelationTable::fill`] answer every pair identically.
 
-use crate::params::{RtfModel, SlotParams};
+use crate::params::RtfModel;
 use rtse_data::SlotOfDay;
-use rtse_graph::{dijkstra, dijkstra_with_paths, Graph, RoadId};
+use rtse_graph::{dijkstra_with_paths, BoundedDijkstra, Graph, RoadId};
 use rtse_obs::{ObsHandle, Stage};
 use rtse_pool::ComputePool;
+use rtse_sync::OnceLock;
 
 /// Which reading of Eqs. (8)–(10) to use for non-adjacent pairs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -33,15 +45,25 @@ pub enum PathCorrelation {
     ReciprocalSum,
 }
 
-/// Dense all-pairs correlation table for one time slot.
-#[derive(Debug, Clone)]
+/// All-pairs correlation table for one time slot, each row built on its
+/// first read (see the module docs).
+#[derive(Debug)]
 pub struct CorrelationTable {
-    n: usize,
     slot: SlotOfDay,
     semantics: PathCorrelation,
-    /// Row-major `n x n`, symmetric, diagonal 1, zeros for disconnected
-    /// pairs.
-    values: Vec<f64>,
+    /// The network the row kernel walks (a table outlives the borrow it
+    /// was created from, so it keeps its own adjacency).
+    graph: Graph,
+    /// Path weight per edge under `semantics`, computed once per slot.
+    weights: Vec<f64>,
+    /// Eq. (7) clamped ρ per edge: the adjacency override and the
+    /// reciprocal-sum path product.
+    rho: Vec<f64>,
+    /// Row `a` holds `corr(a, ·)`: `n` values, diagonal 1, zeros for
+    /// disconnected pairs.
+    rows: Vec<OnceLock<Box<[f64]>>>,
+    /// Where each row build records its `corr.dijkstra_row` span.
+    obs: ObsHandle,
 }
 
 /// Path weight for the max-product semantics: `w = −ln ρ`. A non-positive
@@ -82,54 +104,42 @@ pub(crate) fn clamped_edge_rho(rho: f64) -> f64 {
     rho.max(0.0)
 }
 
-/// Fills one row of the dense table: correlations from `src` to every
-/// road under the requested path semantics, then the Eq. (7) overrides
-/// (unit diagonal, direct edge ρ for adjacent pairs).
-fn fill_row(
-    graph: &Graph,
-    params: &SlotParams,
-    semantics: PathCorrelation,
-    src: RoadId,
-    row: &mut [f64],
-) {
-    match semantics {
-        PathCorrelation::MaxProduct => {
-            let sp = dijkstra(graph, src, |e| max_product_weight(params.rho[e.index()]));
-            for (t, &cost) in sp.costs().iter().enumerate() {
-                row[t] = if cost.is_finite() { (-cost).exp() } else { 0.0 };
-            }
-        }
-        PathCorrelation::ReciprocalSum => {
-            let sp = dijkstra_with_paths(graph, src, |e| reciprocal_weight(params.rho[e.index()]));
-            for t in graph.road_ids() {
-                row[t.index()] = match sp.path_to(t) {
-                    // Consecutive path roads are adjacent by
-                    // construction; a missing edge would mean a
-                    // broken shortest-path tree and maps to zero
-                    // correlation rather than an abort.
-                    Some(path) => path
-                        .windows(2)
-                        .map(|w| {
-                            graph.edge_between(w[0], w[1]).map_or(0.0, |e| params.rho[e.index()])
-                        })
-                        .product(),
-                    None => 0.0,
-                };
-            }
-        }
-    }
-    // Eq. (7): adjacent pairs use the edge weight directly (floored at 0
-    // like the path semantics), and a road is perfectly correlated with
-    // itself.
-    row[src.index()] = 1.0;
-    for &(nbr, e) in graph.neighbors(src) {
-        row[nbr.index()] = clamped_edge_rho(params.rho[e.index()]);
-    }
+/// The slot's per-edge path weights under `semantics`: one transform per
+/// edge per slot, shared by every row's relaxations (dense and sparse).
+pub(crate) fn path_weights(rho: &[f64], semantics: PathCorrelation) -> Vec<f64> {
+    let weight = match semantics {
+        PathCorrelation::MaxProduct => max_product_weight,
+        PathCorrelation::ReciprocalSum => reciprocal_weight,
+    };
+    rho.iter().map(|&r| weight(r)).collect()
 }
 
 impl CorrelationTable {
-    /// Builds the table by running one Dijkstra per road, fanned across
-    /// the `RTSE_THREADS`-sized default pool. See [`Self::build_with_pool`].
+    /// An empty table for `slot`: computes the slot's edge weights and
+    /// leaves every row to its first read. Each row build records one
+    /// `corr.dijkstra_row` span on `obs`.
+    pub fn new(
+        graph: &Graph,
+        model: &RtfModel,
+        slot: SlotOfDay,
+        semantics: PathCorrelation,
+        obs: ObsHandle,
+    ) -> Self {
+        assert!(model.matches_graph(graph), "model/graph dimension mismatch");
+        let params = model.slot(slot);
+        Self {
+            slot,
+            semantics,
+            graph: graph.clone(),
+            weights: path_weights(&params.rho, semantics),
+            rho: params.rho.iter().map(|&r| clamped_edge_rho(r)).collect(),
+            rows: (0..graph.num_roads()).map(|_| OnceLock::new()).collect(),
+            obs,
+        }
+    }
+
+    /// Builds the full table, fanning the rows across the
+    /// `RTSE_THREADS`-sized default pool. See [`Self::build_with_pool`].
     pub fn build(
         graph: &Graph,
         model: &RtfModel,
@@ -139,10 +149,10 @@ impl CorrelationTable {
         Self::build_with_pool(graph, model, slot, semantics, &ComputePool::from_env())
     }
 
-    /// Builds the table on an explicit pool: the per-source Dijkstras are
-    /// independent, so the dense table is split into row slices and each
-    /// worker fills whole rows. Results are bit-identical at every thread
-    /// count (each row is produced by the same single-source computation).
+    /// Builds the full table on an explicit pool: the per-source Dijkstras
+    /// are independent, so each worker fills whole rows. Results are
+    /// bit-identical at every thread count (each row is produced by the
+    /// same single-source computation).
     pub fn build_with_pool(
         graph: &Graph,
         model: &RtfModel,
@@ -154,10 +164,10 @@ impl CorrelationTable {
     }
 
     /// [`build_with_pool`](Self::build_with_pool) with instrumentation:
-    /// each per-source row fill (one Dijkstra) is timed as one
-    /// `corr.dijkstra_row` span, so a full build records exactly
-    /// `n_roads` spans on `obs`. The table is bit-identical to the
-    /// unobserved build.
+    /// each row (one Dijkstra) is one `pool.jobs` job and one
+    /// `corr.dijkstra_row` span, so a full build records exactly `n_roads`
+    /// of each on `obs`. The table is bit-identical to the unobserved
+    /// build.
     pub fn build_observed(
         graph: &Graph,
         model: &RtfModel,
@@ -166,23 +176,20 @@ impl CorrelationTable {
         pool: &ComputePool,
         obs: &ObsHandle,
     ) -> Self {
-        assert!(model.matches_graph(graph), "model/graph dimension mismatch");
-        let n = graph.num_roads();
-        let params = model.slot(slot);
-        let mut values = vec![0.0; n * n];
-        if n > 0 {
-            let rows: Vec<&mut [f64]> = values.chunks_mut(n).collect();
-            pool.map_observed(obs, rows, |src, row| {
-                let _span = obs.span(Stage::CorrDijkstraRow);
-                fill_row(graph, params, semantics, RoadId::from(src), row);
-            });
-        }
-        let table = Self { n, slot, semantics, values };
-        #[cfg(feature = "validate")]
-        if let Err(v) = rtse_check::Validate::validate(&table) {
-            rtse_check::fail(&v);
-        }
+        let table = Self::new(graph, model, slot, semantics, obs.clone());
+        table.fill(pool);
         table
+    }
+
+    /// Builds every row not built yet, one `pool` job per row. Rows read
+    /// meanwhile on other threads are built once and shared: each row is a
+    /// once-cell.
+    pub fn fill(&self, pool: &ComputePool) {
+        let missing: Vec<RoadId> =
+            self.graph.road_ids().filter(|r| self.rows[r.index()].get().is_none()).collect();
+        pool.map_observed(&self.obs, missing, |_, r| {
+            self.row(r);
+        });
     }
 
     /// The slot this table was built for.
@@ -197,51 +204,138 @@ impl CorrelationTable {
 
     /// Number of roads covered.
     pub fn num_roads(&self) -> usize {
-        self.n
+        self.rows.len()
+    }
+
+    /// Rows built so far.
+    pub fn rows_built(&self) -> usize {
+        self.rows.iter().filter(|r| r.get().is_some()).count()
+    }
+
+    /// Row `a`, `corr(a, ·)` over every road, built on first use. With
+    /// the `validate` feature a new row is checked against the table
+    /// contract (and against every mirror row built before it) before
+    /// anyone can read it.
+    #[inline]
+    pub fn row(&self, a: RoadId) -> &[f64] {
+        self.rows[a.index()].get_or_init(|| {
+            let row = self.build_row(a);
+            #[cfg(feature = "validate")]
+            if let Err(v) = self.validate_row(a.index(), &row) {
+                rtse_check::fail(&v);
+            }
+            row
+        })
     }
 
     /// `corr^t(r_a, r_b)` (Eqs. 7/10).
     #[inline]
     pub fn corr(&self, a: RoadId, b: RoadId) -> f64 {
-        self.values[a.index() * self.n + b.index()]
+        self.row(a)[b.index()]
     }
 
     /// Road–set correlation, Eq. (11): max over the set; 0 for an empty set.
     pub fn road_set_corr(&self, r: RoadId, set: &[RoadId]) -> f64 {
-        set.iter().map(|&s| self.corr(r, s)).fold(0.0, f64::max)
+        let row = self.row(r);
+        set.iter().map(|&s| row[s.index()]).fold(0.0, f64::max)
     }
 
     /// Set–set correlation, Eq. (12).
     pub fn set_set_corr(&self, queried: &[RoadId], crowdsourced: &[RoadId]) -> f64 {
         queried.iter().map(|&q| self.road_set_corr(q, crowdsourced)).sum()
     }
+
+    /// The row kernel: correlations from `src` to every road under the
+    /// table's path semantics, then the Eq. (7) overrides (unit diagonal,
+    /// direct edge ρ for adjacent pairs).
+    fn build_row(&self, src: RoadId) -> Box<[f64]> {
+        let _span = self.obs.span(Stage::CorrDijkstraRow);
+        let graph = &self.graph;
+        let mut row = vec![0.0; graph.num_roads()];
+        match self.semantics {
+            PathCorrelation::MaxProduct => {
+                // Unbounded, so every reachable road settles with the same
+                // sums in the same order as a plain Dijkstra; unreachable
+                // roads keep 0.
+                BoundedDijkstra::new(graph.num_roads()).run(
+                    graph,
+                    src,
+                    |e| self.weights[e.index()],
+                    f64::INFINITY,
+                    |t, cost| row[t.index()] = (-cost).exp(),
+                );
+            }
+            PathCorrelation::ReciprocalSum => {
+                let sp = dijkstra_with_paths(graph, src, |e| self.weights[e.index()]);
+                for t in graph.road_ids() {
+                    // Consecutive path roads are adjacent by construction;
+                    // a missing edge would mean a broken shortest-path tree
+                    // and maps to zero correlation rather than an abort.
+                    // Every path edge has finite weight, so ρ > 0 there and
+                    // the clamped ρ is the raw one.
+                    if let Some(path) = sp.path_to(t) {
+                        row[t.index()] = path
+                            .windows(2)
+                            .map(|w| {
+                                graph.edge_between(w[0], w[1]).map_or(0.0, |e| self.rho[e.index()])
+                            })
+                            .product();
+                    }
+                }
+            }
+        }
+        // Eq. (7): adjacent pairs use the edge weight directly (floored at 0
+        // like the path semantics), and a road is perfectly correlated with
+        // itself.
+        row[src.index()] = 1.0;
+        for &(nbr, e) in graph.neighbors(src) {
+            row[nbr.index()] = self.rho[e.index()];
+        }
+        row.into_boxed_slice()
+    }
 }
 
-impl rtse_check::Validate for CorrelationTable {
-    /// Table contract (Eqs. 7–12): square storage, values in `[0, 1]`,
-    /// unit diagonal, and symmetry. Two independent Dijkstra runs compute
-    /// `corr(a, b)` and `corr(b, a)`, so symmetry is checked to a float
-    /// tolerance rather than bit-for-bit.
-    fn validate(&self) -> Result<(), rtse_check::InvariantViolation> {
+impl CorrelationTable {
+    /// Row `a`'s share of the table contract (Eqs. 7–12): `n` values in
+    /// `[0, 1]`, unit diagonal, and symmetry against every mirror row
+    /// already built. Two independent Dijkstra runs compute `corr(a, b)`
+    /// and `corr(b, a)`, so symmetry is checked to a float tolerance rather
+    /// than bit-for-bit.
+    fn validate_row(&self, a: usize, row: &[f64]) -> Result<(), rtse_check::InvariantViolation> {
         use rtse_check::ensure;
-        ensure(self.values.len() == self.n * self.n, "corr.square", || {
-            format!("{} values for {} roads", self.values.len(), self.n)
+        let n = self.rows.len();
+        ensure(row.len() == n, "corr.square", || {
+            format!("row {a} holds {} values for {n} roads", row.len())
         })?;
-        for a in 0..self.n {
-            for b in 0..self.n {
-                let c = self.values[a * self.n + b];
-                ensure(c.is_finite() && (0.0..=1.0).contains(&c), "corr.range", || {
-                    format!("corr({a}, {b}) = {c} outside [0, 1]")
-                })?;
-                let mirror = self.values[b * self.n + a];
+        for (b, &c) in row.iter().enumerate() {
+            ensure(c.is_finite() && (0.0..=1.0).contains(&c), "corr.range", || {
+                format!("corr({a}, {b}) = {c} outside [0, 1]")
+            })?;
+            if let Some(&mirror) = self.rows[b].get().and_then(|r| r.get(a)) {
                 ensure((c - mirror).abs() <= 1e-9, "corr.symmetric", || {
                     format!("corr({a}, {b}) = {c} but corr({b}, {a}) = {mirror}")
                 })?;
             }
-            let diag = self.values[a * self.n + a];
-            ensure((diag - 1.0).abs() <= 1e-12, "corr.unit_diagonal", || {
-                format!("corr({a}, {a}) = {diag}")
-            })?;
+        }
+        let diag = row[a];
+        ensure((diag - 1.0).abs() <= 1e-12, "corr.unit_diagonal", || {
+            format!("corr({a}, {a}) = {diag}")
+        })
+    }
+}
+
+impl rtse_check::Validate for CorrelationTable {
+    /// Table contract over the rows built so far: one row cell per road,
+    /// and every built row honours the row contract (`validate_row`).
+    fn validate(&self) -> Result<(), rtse_check::InvariantViolation> {
+        let n = self.rows.len();
+        rtse_check::ensure(n == self.graph.num_roads(), "corr.square", || {
+            format!("{n} rows for {} roads", self.graph.num_roads())
+        })?;
+        for (a, cell) in self.rows.iter().enumerate() {
+            if let Some(row) = cell.get() {
+                self.validate_row(a, row)?;
+            }
         }
         Ok(())
     }
@@ -272,6 +366,71 @@ mod tests {
             .collect();
         let model = RtfModel::from_slots(n, g.num_edges(), slots);
         (g, model)
+    }
+
+    /// Every value of a table, row-major, as bits.
+    fn bits(t: &CorrelationTable) -> Vec<u64> {
+        (0..t.num_roads()).flat_map(|a| t.row(RoadId::from(a)).to_vec()).map(f64::to_bits).collect()
+    }
+
+    #[test]
+    fn rows_build_on_first_read_only() {
+        let (g, m) =
+            fixture(6, &[(0, 1, 0.52), (1, 5, 0.52), (0, 2, 0.7), (2, 3, 0.7), (3, 5, 0.7)]);
+        let obs = ObsHandle::fresh();
+        let t =
+            CorrelationTable::new(&g, &m, SlotOfDay(0), PathCorrelation::MaxProduct, obs.clone());
+        assert_eq!(t.rows_built(), 0, "a new table builds nothing");
+        let c = t.corr(RoadId(0), RoadId(5));
+        assert_eq!(t.corr(RoadId(0), RoadId(3)), t.row(RoadId(0))[3]);
+        assert_eq!(t.rows_built(), 1, "reads of one row build that row once");
+        t.fill(&ComputePool::new(2));
+        assert_eq!(t.rows_built(), 6);
+        t.fill(&ComputePool::new(2));
+        let full = CorrelationTable::build(&g, &m, SlotOfDay(0), PathCorrelation::MaxProduct);
+        assert_eq!(bits(&t), bits(&full), "on-demand and full builds agree bit for bit");
+        assert_eq!(c.to_bits(), full.corr(RoadId(0), RoadId(5)).to_bits());
+        if let Some(reg) = obs.registry().filter(|_| obs.is_enabled()) {
+            assert_eq!(reg.count(Stage::CorrDijkstraRow), 6, "one span per row, ever");
+            assert_eq!(reg.count(Stage::PoolJobs), 5, "fill dispatches only missing rows");
+        }
+    }
+
+    #[test]
+    fn max_product_rows_match_plain_dijkstra_bit_for_bit() {
+        // The row kernel runs BoundedDijkstra at an infinite bound; every
+        // value must equal the plain Dijkstra's exp(−cost), Eq. (7)
+        // overrides applied on top.
+        let (g, m) = fixture(
+            7,
+            &[
+                (0, 1, 0.9),
+                (1, 2, 0.35),
+                (2, 3, 0.77),
+                (0, 3, 0.1),
+                (3, 4, 0.0),
+                (4, 5, 0.6),
+                (1, 5, 0.83),
+                (2, 5, f64::NAN),
+            ],
+        );
+        let rho = &m.slot(SlotOfDay(0)).rho;
+        let t = CorrelationTable::build(&g, &m, SlotOfDay(0), PathCorrelation::MaxProduct);
+        for src in g.road_ids() {
+            let sp = rtse_graph::dijkstra(&g, src, |e| max_product_weight(rho[e.index()]));
+            let mut want: Vec<f64> = sp
+                .costs()
+                .iter()
+                .map(|&cost| if cost.is_finite() { (-cost).exp() } else { 0.0 })
+                .collect();
+            want[src.index()] = 1.0;
+            for &(nbr, e) in g.neighbors(src) {
+                want[nbr.index()] = clamped_edge_rho(rho[e.index()]);
+            }
+            let got: Vec<u64> = t.row(src).iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "row {src}");
+        }
     }
 
     #[test]
@@ -449,7 +608,7 @@ mod tests {
                     semantics,
                     &ComputePool::new(threads),
                 );
-                assert_eq!(serial.values, par.values, "{semantics:?} threads={threads}");
+                assert_eq!(bits(&serial), bits(&par), "{semantics:?} threads={threads}");
             }
         }
     }

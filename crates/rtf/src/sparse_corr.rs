@@ -26,7 +26,7 @@
 //! therefore `MaxProduct`-only; callers needing the ablation semantics use
 //! the dense table (see `CorrSubstrate` in `crowd-rtse-core`).
 
-use crate::corr_table::{clamped_edge_rho, max_product_weight, CorrelationTable, PathCorrelation};
+use crate::corr_table::{clamped_edge_rho, path_weights, CorrelationTable, PathCorrelation};
 use crate::params::{RtfModel, SlotParams};
 use rtse_data::SlotOfDay;
 use rtse_graph::{BoundedDijkstra, Graph, RoadId};
@@ -141,12 +141,14 @@ type SparseRow = Vec<(u32, f64)>;
 /// single-source computation either way.
 const BUILD_CHUNK: usize = 64;
 
-/// Computes one pruned row: bounded Dijkstra from `src` on the Eq. 9
-/// weights, `exp(−cost)` per settled road, then the Eq. (7) adjacency
-/// overrides, the floor filter, and the optional top-k cut.
+/// Computes one pruned row: bounded Dijkstra from `src` on the slot's
+/// Eq. 9 `weights` (one per edge), `exp(−cost)` per settled road, then the
+/// Eq. (7) adjacency overrides, the floor filter, and the optional top-k
+/// cut.
 fn fill_sparse_row(
     graph: &Graph,
     params: &SlotParams,
+    weights: &[f64],
     config: SparseCorrConfig,
     scratch: &mut BoundedDijkstra,
     src: RoadId,
@@ -155,7 +157,7 @@ fn fill_sparse_row(
     scratch.run(
         graph,
         src,
-        |e| max_product_weight(params.rho[e.index()]),
+        |e| weights[e.index()],
         config.cost_bound(),
         |road, cost| {
             if road != src {
@@ -252,6 +254,7 @@ impl SparseCorrelationTable {
             config.floor
         );
         let n = graph.num_roads();
+        let weights = path_weights(&params.rho, PathCorrelation::MaxProduct);
         let chunks: Vec<(u32, u32)> = (0..n)
             .step_by(BUILD_CHUNK)
             .map(|lo| {
@@ -264,7 +267,14 @@ impl SparseCorrelationTable {
             let mut out = Vec::with_capacity((hi - lo) as usize);
             for src in lo..hi {
                 let _span = obs.span(Stage::CorrDijkstraRow);
-                out.push(fill_sparse_row(graph, params, config, &mut scratch, RoadId(src)));
+                out.push(fill_sparse_row(
+                    graph,
+                    params,
+                    &weights,
+                    config,
+                    &mut scratch,
+                    RoadId(src),
+                ));
             }
             out
         });
@@ -378,7 +388,7 @@ impl CorrelationRead for SparseCorrelationTable {
 /// core engine's per-slot cache). Dispatches the read API to whichever
 /// substrate was built; both coerce to `&dyn CorrelationRead` for the
 /// solvers.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum CorrTable {
     /// Dense all-pairs storage (any [`PathCorrelation`] semantics).
     Dense(CorrelationTable),

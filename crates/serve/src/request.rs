@@ -4,7 +4,7 @@ use crate::error::ServeError;
 use rtse_check::InvariantViolation;
 use rtse_data::SlotOfDay;
 use rtse_graph::RoadId;
-use rtse_sync::mpsc::Receiver;
+use rtse_sync::mpsc::{Receiver, TryRecvError};
 use std::time::Duration;
 
 /// One client request: "what is the speed of these roads in this slot?"
@@ -121,8 +121,15 @@ impl Ticket {
     }
 
     /// Non-blocking poll: `None` while the request is still in flight.
+    /// A reply channel whose sender is gone without an answer (a serve
+    /// worker died mid-batch) resolves as [`ServeError::ChannelClosed`],
+    /// as [`Self::wait`] does, so a poller never waits on it forever.
     pub fn poll(&self) -> Option<Result<ServedAnswer, ServeError>> {
-        self.rx.try_recv().ok()
+        match self.rx.try_recv() {
+            Ok(reply) => Some(reply),
+            Err(TryRecvError::Empty) => None,
+            Err(TryRecvError::Disconnected) => Some(Err(ServeError::ChannelClosed)),
+        }
     }
 }
 
@@ -213,5 +220,24 @@ mod tests {
         let (tx, rx) = channel::<Result<ServedAnswer, ServeError>>();
         drop(tx);
         assert_eq!(Ticket { rx }.wait(), Err(ServeError::ChannelClosed));
+    }
+
+    #[test]
+    fn poll_resolves_an_orphaned_ticket_as_channel_closed() {
+        let (tx, rx) = channel::<Result<ServedAnswer, ServeError>>();
+        let ticket = Ticket { rx };
+        assert!(ticket.poll().is_none(), "in flight while the sender lives");
+        drop(tx);
+        assert_eq!(ticket.poll(), Some(Err(ServeError::ChannelClosed)));
+        assert_eq!(ticket.poll(), Some(Err(ServeError::ChannelClosed)), "and stays resolved");
+    }
+
+    #[test]
+    fn poll_returns_an_answer_sent_before_the_sender_dropped() {
+        let (tx, rx) = channel::<Result<ServedAnswer, ServeError>>();
+        tx.send(Ok(answer())).expect("receiver alive");
+        drop(tx);
+        let ticket = Ticket { rx };
+        assert_eq!(ticket.poll(), Some(Ok(answer())));
     }
 }

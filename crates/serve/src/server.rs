@@ -157,11 +157,11 @@ pub fn serve<R>(
     // Prewarm the per-slot correlation caches before any request is
     // admitted: a cold Γ build inside the first batch's compute would
     // stack on the batch window and surface as a `serve.queue_wait` tail
-    // (BENCH_serve.json's steady_mixed p99 regression). `corr_table` is
-    // per-slot get-or-init, so duplicate slots coalesce and already-warm
-    // slots return immediately.
+    // (BENCH_serve.json's steady_mixed p99 regression). `prewarm` builds
+    // every row of the slot's table; rows are get-or-init, so duplicate
+    // slots coalesce and already-warm slots return immediately.
     for &slot in &config.prewarm_slots {
-        let _ = engine.offline().corr_table(engine.graph(), slot);
+        let _ = engine.offline().prewarm(engine.graph(), slot);
     }
 
     let shared = Shared {

@@ -380,6 +380,9 @@ fn eight_concurrent_clients_share_rounds_and_floats() {
 fn prewarm_builds_corr_tables_before_admission() {
     let f = fixture(11);
     let obs = rtse_obs::ObsHandle::fresh();
+    if !obs.is_enabled() {
+        return; // obs-noop build: every registry stays at zero
+    }
     let model = rtse_rtf::moment_estimate(&f.graph, &f.dataset.history);
     let artifacts = OfflineArtifacts::from_model(model).with_obs(obs.clone());
     let e = CrowdRtse::new(&f.graph, artifacts);

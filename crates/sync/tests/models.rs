@@ -13,7 +13,7 @@
 //! |---|---|
 //! | seqlock write/read | `rtse-serve/src/coherence.rs` |
 //! | cold-miss coalescing + coherent publication | `rtse-serve/src/cache.rs::round_for_published` |
-//! | once-per-slot build | `crates/core/src/offline.rs::corr_entry` |
+//! | once-per-slot build | `crates/core/src/offline.rs::corr_entry`, `crates/rtf/src/corr_table.rs::row` |
 //! | histogram record/merge | `rtse-obs/src/hist.rs` |
 
 use rtse_sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
@@ -219,7 +219,9 @@ fn answer_cache_generation_bumps_publish_coherently() {
 
 /// Protocol 3a — corr-cache slot protocol (`core::offline::corr_entry`):
 /// concurrent cold callers of one `OnceLock` slot run the builder exactly
-/// once and all observe the same value.
+/// once and all observe the same value. Each Γ row
+/// (`rtse_rtf::CorrelationTable::row`) is the same protocol on its own
+/// cell.
 #[test]
 fn corr_cache_slot_builds_exactly_once() {
     model::check(|| {

@@ -39,8 +39,9 @@ fn fixed_seed_pipeline_records_exact_stage_counts_at_widths_1_and_4() {
         let trainer = RtfTrainer { max_iters: 3, threads, ..Default::default() };
         let (model, _stats) = trainer.train_with_obs(&graph, &dataset.history, &obs);
 
-        // Online: one engine, one session, `rounds` same-slot steps (the
-        // correlation table builds once and is cached afterwards).
+        // Online: one engine, one session, `rounds` same-slot steps (each
+        // correlation row builds once and is cached afterwards; every road
+        // is queried, so every row is read).
         let engine =
             CrowdRtse::new(&graph, OfflineArtifacts::from_model(model)).with_obs(obs.clone());
         let pool = WorkerPool::spawn(&graph, 40, 0.5, (0.3, 1.0), 7);
@@ -68,8 +69,9 @@ fn fixed_seed_pipeline_records_exact_stage_counts_at_widths_1_and_4() {
         assert_eq!(reg.count(Stage::OcsSelect), rounds as u64, "one OCS solve per round");
         assert_eq!(reg.count(Stage::GspItersToConverge), rounds as u64);
         // pool.jobs is per work item regardless of pool width: 288 slot
-        // fits plus one Dijkstra row per road.
-        assert_eq!(reg.count(Stage::PoolJobs), SLOTS_PER_DAY as u64 + n_roads);
+        // fits. The Γ rows are built on their first read inside the OCS
+        // solve, on the round's own thread, so they are not pool jobs.
+        assert_eq!(reg.count(Stage::PoolJobs), SLOTS_PER_DAY as u64);
         assert_eq!(reg.gauge(Stage::PoolQueueDepth), 0, "queue depth returns to zero");
 
         per_width.push(vec![
