@@ -1,11 +1,11 @@
 //! Criterion micro-benches for GSP (Fig. 4b): propagation time vs number
-//! of observed roads, sequential vs layer-parallel.
+//! of observed roads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rtse_bench::semi_syn_world;
 use rtse_data::SlotOfDay;
 use rtse_graph::RoadId;
-use rtse_gsp::{GspSolver, ParallelGsp};
+use rtse_gsp::GspSolver;
 use std::hint::black_box;
 
 fn bench_gsp(c: &mut Criterion) {
@@ -30,10 +30,6 @@ fn bench_gsp(c: &mut Criterion) {
                 b.iter(|| black_box(solver.propagate(&world.graph, params, obs)))
             },
         );
-        group.bench_with_input(BenchmarkId::new("parallel4", observed), &observations, |b, obs| {
-            let solver = ParallelGsp { threads: 4, ..Default::default() };
-            b.iter(|| black_box(solver.propagate(&world.graph, params, obs)))
-        });
     }
     group.finish();
 }

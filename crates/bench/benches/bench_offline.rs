@@ -1,14 +1,13 @@
 //! Criterion micro-benches for the pooled offline pipeline: serial vs
-//! pooled correlation-table build, full-day RTF training, and GSP
-//! propagation at several thread counts. Speedups are bounded by host
-//! cores — see EXPERIMENTS.md ("Threading knobs").
+//! pooled correlation-table build and full-day RTF training at several
+//! thread counts. Speedups are bounded by host cores — see EXPERIMENTS.md
+//! ("Threading knobs").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rtse_bench::semi_syn_world;
 use rtse_data::SlotOfDay;
 use rtse_graph::components::grow_connected_subset;
 use rtse_graph::RoadId;
-use rtse_gsp::{GspSolver, ParallelGsp};
 use rtse_pool::ComputePool;
 use rtse_rtf::{CorrelationTable, PathCorrelation, RtfTrainer};
 use std::hint::black_box;
@@ -42,22 +41,6 @@ fn bench_offline(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("train_all_slots", threads), &threads, |b, &n| {
             let trainer = RtfTrainer { max_iters: 2, threads: n, ..Default::default() };
             b.iter(|| black_box(trainer.train(&sub, &history)))
-        });
-    }
-
-    let params = world.model.slot(slot);
-    let obs: Vec<(RoadId, f64)> = world
-        .queried_33
-        .iter()
-        .map(|&r| (r, world.dataset.today.snapshot(0, slot)[r.index()]))
-        .collect();
-    for threads in THREADS {
-        group.bench_with_input(BenchmarkId::new("gsp_propagate", threads), &threads, |b, &n| {
-            let solver = ParallelGsp {
-                base: GspSolver { epsilon: 1e-9, max_rounds: 50, record_trace: false },
-                threads: n,
-            };
-            b.iter(|| black_box(solver.propagate(&world.graph, params, &obs)))
         });
     }
     group.finish();

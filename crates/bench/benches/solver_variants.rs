@@ -1,12 +1,12 @@
 //! Ablation benches for solver variants:
 //! * plain vs lazy Objective-Greedy (identical output, fewer gain probes);
-//! * GSP Gauss–Seidel vs SOR (ω = 1.4) vs exact conjugate-gradient MAP.
+//! * GSP Gauss–Seidel vs exact conjugate-gradient MAP.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rtse_bench::{semi_syn_world, THETA_TUNED};
 use rtse_data::SlotOfDay;
 use rtse_graph::RoadId;
-use rtse_gsp::{exact_map_estimate, DampedGsp, GspSolver};
+use rtse_gsp::{exact_map_estimate, GspSolver};
 use rtse_ocs::{lazy_objective_greedy, objective_greedy, OcsInstance};
 use rtse_rtf::{CorrelationTable, PathCorrelation};
 use std::hint::black_box;
@@ -49,10 +49,6 @@ fn bench_variants(c: &mut Criterion) {
     let mut group = c.benchmark_group("gsp_variants");
     group.bench_function("gauss_seidel", |b| {
         let solver = GspSolver::default();
-        b.iter(|| black_box(solver.propagate(&world.graph, params, &observations)))
-    });
-    group.bench_function("sor_1_4", |b| {
-        let solver = DampedGsp::default();
         b.iter(|| black_box(solver.propagate(&world.graph, params, &observations)))
     });
     group.bench_function("exact_cg", |b| {

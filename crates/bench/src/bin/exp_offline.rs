@@ -1,7 +1,8 @@
 //! Offline-pipeline parallel speedup: serial vs pooled wall clock for the
-//! three hot paths routed through `rtse_pool::ComputePool` — the
-//! correlation-table build (one Dijkstra per road), full-day RTF training
-//! (288 independent slot fits), and layer-parallel GSP propagation.
+//! two hot paths routed through `rtse_pool::ComputePool` — the
+//! correlation-table build (one Dijkstra per road) and full-day RTF
+//! training (288 independent slot fits) — plus the delta-vs-full GSP
+//! round.
 //!
 //! Results are printed as a table and recorded in `BENCH_offline.json`
 //! (in the working directory) together with the host parallelism, so the
@@ -20,9 +21,7 @@ use rtse_data::SlotOfDay;
 use rtse_eval::{time_mean, Table};
 use rtse_graph::components::grow_connected_subset;
 use rtse_graph::RoadId;
-use rtse_gsp::{
-    propagate_delta, propagate_delta_observed, DeltaGsp, DeltaResult, GspSolver, ParallelGsp,
-};
+use rtse_gsp::{propagate_delta, propagate_delta_observed, DeltaGsp, DeltaResult, GspSolver};
 use rtse_obs::ObsHandle;
 use rtse_pool::ComputePool;
 use rtse_rtf::{CorrelationTable, PathCorrelation, RtfTrainer};
@@ -76,25 +75,15 @@ fn main() {
     };
     measurements.push(sweep("rtf_train_all_slots", 1, train));
 
-    // 3. Layer-parallel GSP on the full network.
+    // 3. Delta re-propagation: the realtime-serving case where one
+    //    observation moved between rounds. Cold full solve vs a delta run
+    //    seeded from the previous fixed point on the same network.
     let params = world.model.slot(slot);
     let observations: Vec<(RoadId, f64)> = world
         .queried_33
         .iter()
         .map(|&r| (r, world.dataset.today.snapshot(0, slot)[r.index()]))
         .collect();
-    let gsp = |threads: usize| {
-        let solver = ParallelGsp {
-            base: GspSolver { epsilon: 1e-9, max_rounds: 100, record_trace: false },
-            threads,
-        };
-        std::hint::black_box(solver.propagate(&world.graph, params, &observations));
-    };
-    measurements.push(sweep("gsp_propagate", reps, gsp));
-
-    // 4. Delta re-propagation: the realtime-serving case where one
-    //    observation moved between rounds. Cold full solve vs a delta run
-    //    seeded from the previous fixed point on the same network.
     let serial = GspSolver { epsilon: 1e-9, max_rounds: 100, record_trace: false };
     let full_ms = time_mean(reps, || {
         std::hint::black_box(serial.propagate(&world.graph, params, &observations));
@@ -280,11 +269,6 @@ fn render_json(
         s.push('\n');
     }
     s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"gsp_parallel_cutover\": {{ \"min_parallel_work\": {}, \"work_unit\": \
-         \"1 + degree per scheduled road (Eq. 18 update cost)\" }},\n",
-        rtse_gsp::MIN_PARALLEL_WORK
-    ));
     s.push_str(&format!(
         "  \"delta_speedup\": {{ \"stage\": \"gsp_propagate\", \"epsilon\": {}, \
          \"full_ms\": {:.3}, \"delta_ms\": {:.3}, \"speedup\": {:.3}, \"rounds\": {}, \

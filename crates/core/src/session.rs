@@ -4,7 +4,8 @@
 //! while workers move and the budget meter runs. [`MonitoringSession`]
 //! owns that loop state: the worker pool (stepped between rounds), the
 //! cumulative payment ledger, and the previous round's estimate, which
-//! warm-starts the next propagation (see `rtse_gsp::relax`).
+//! warm-starts the next propagation (see `rtse_gsp::relax`); roads no
+//! probe reaches read the current slot's mean.
 
 use crate::engine::{CrowdRtse, OnlineConfig};
 use crate::query::SpeedQuery;
@@ -257,6 +258,29 @@ mod tests {
         }
         let warm_avg = warm_rounds.iter().sum::<usize>() as f64 / warm_rounds.len() as f64;
         assert!(warm_avg <= cold_rounds as f64 + 1.0, "warm avg {warm_avg} vs cold {cold_rounds}");
+    }
+
+    #[test]
+    fn unprobed_rounds_report_their_own_slots_prior() {
+        // No workers, so no observations: the warm second round must read
+        // its own slot's μ, not the first round's estimate.
+        let (graph, dataset, costs) = setup();
+        let engine = CrowdRtse::new(
+            &graph,
+            OfflineArtifacts::from_model(moment_estimate(&graph, &dataset.history)),
+        );
+        let pool = WorkerPool::spawn(&graph, 0, 0.5, (0.3, 1.0), 1);
+        let mut session = MonitoringSession::new(&engine, OnlineConfig::default(), pool, costs);
+        let queried: Vec<RoadId> = graph.road_ids().collect();
+        let (first, second) = (SlotOfDay::from_hm(3, 0), SlotOfDay::from_hm(8, 0));
+        let model = engine.offline().model();
+        assert_ne!(model.slot(first).mu, model.slot(second).mu, "the slots must differ");
+        session.step(&queried, first, dataset.ground_truth_snapshot(first)).expect("round 1");
+        let report =
+            session.step(&queried, second, dataset.ground_truth_snapshot(second)).expect("round 2");
+        assert!(report.warm_started);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&report.values), bits(&model.slot(second).mu));
     }
 
     #[test]

@@ -25,12 +25,12 @@
 //!
 //! Scheduled roads never reached by this closure keep their previous
 //! value — which is exactly the Eq. (18) argmax they already sat at,
-//! because [`optimal_update`] reads only the road's own parameters and
-//! its neighbors' values, and none of those moved. Roads *outside* the
-//! schedule (unreachable from the current observation set) revert to the
-//! slot prior `μ`, matching where a full propagation leaves them: when a
-//! component's last probe expires, its estimates must decay to the prior,
-//! not silently coast on stale crowd data.
+//! because [`optimal_update`](rtse_rtf::likelihood::optimal_update) reads
+//! only the road's own parameters and its neighbors' values, and none of
+//! those moved. Roads *outside* the schedule (unreachable from the current
+//! observation set) revert to the slot prior `μ`, as in every propagation:
+//! when a component's last probe expires, its estimates must decay to the
+//! prior, not silently coast on stale crowd data.
 //!
 //! ## ε semantics and the full-sweep mode
 //!
@@ -41,10 +41,8 @@
 //! skipping entirely: every scheduled road is re-relaxed every sweep in
 //! schedule order, making the run **bit-identical** to
 //! [`propagate_warm`](crate::propagate_warm) from the same previous values
-//! on every scheduled or observed road (both execute the same Gauss–Seidel
-//! recurrence; unreachable roads are the one deliberate difference — delta
-//! resets them to `μ` where warm keeps the seed; property-tested in
-//! `tests/proptest_delta.rs`).
+//! on every road (both are the same sweep without a frontier;
+//! property-tested in `tests/proptest_delta.rs`).
 //!
 //! ## Fallback conditions
 //!
@@ -55,11 +53,10 @@
 //! structurally impossible) or when the previous values' length disagrees
 //! with the network.
 
-use crate::schedule::UpdateSchedule;
 use crate::solver::{GspResult, GspSolver};
+use crate::sweep::{sweep, Frontier};
 use rtse_graph::{Graph, RoadId};
-use rtse_obs::{ObsHandle, Stage};
-use rtse_rtf::likelihood::optimal_update;
+use rtse_obs::ObsHandle;
 use rtse_rtf::params::SlotParams;
 
 /// Delta propagation configuration.
@@ -136,8 +133,8 @@ impl rtse_check::Validate for DeltaResult {
 /// changed value are detected internally by diffing against `prev`).
 ///
 /// # Panics
-/// Panics when `prev.len()` differs from the road count or the model
-/// dimensions disagree with the graph.
+/// Panics when `prev.len()` differs from the road count, and on the
+/// observation and dimension checks of [`GspSolver::propagate`].
 pub fn propagate_delta(
     solver: &DeltaGsp,
     graph: &Graph,
@@ -156,8 +153,7 @@ pub fn propagate_delta(
 /// call.
 ///
 /// # Panics
-/// Panics when `prev.len()` differs from the road count or the model
-/// dimensions disagree with the graph.
+/// As [`propagate_delta`].
 pub fn propagate_delta_observed(
     solver: &DeltaGsp,
     graph: &Graph,
@@ -167,147 +163,9 @@ pub fn propagate_delta_observed(
     changed: &[RoadId],
     obs: &ObsHandle,
 ) -> DeltaResult {
-    let _span = obs.span(Stage::GspRound);
-    assert_eq!(params.mu.len(), graph.num_roads(), "params/graph mismatch");
     assert_eq!(prev.len(), graph.num_roads(), "previous round length mismatch");
-    // Full-sweep mode when ε cannot exclude anything: the sign test is
-    // exact by design, not a tolerance comparison, and a NaN ε must fall
-    // back to the safe full sweep rather than skip everything.
-    let full_sweep = solver.epsilon <= 0.0 || solver.epsilon.is_nan();
-
-    let mut values = prev.to_vec();
-    let sampled: Vec<RoadId> = observations.iter().map(|&(r, _)| r).collect();
-    let schedule = UpdateSchedule::new(graph, &sampled);
-    let scheduled_total = schedule.num_scheduled();
-
-    // Membership mask: frontier expansion only ever marks roads the
-    // schedule will visit (observed roads hold their value; unreachable
-    // roads are never relaxed by the full solver either).
-    let mut scheduled = vec![false; graph.num_roads()];
-    for r in schedule.iter() {
-        scheduled[r.index()] = true;
-    }
-    let mut observed = vec![false; graph.num_roads()];
-    for &(r, _) in observations {
-        observed[r.index()] = true;
-    }
-
-    // Roads neither scheduled nor observed revert to the slot prior —
-    // exactly where the full solver leaves them. Carrying the previous
-    // value instead would keep estimates alive in components whose last
-    // probe expired, silently diverging from full propagation. Safe
-    // before the diff seeding below: the diff only reads observed roads,
-    // which this never touches.
-    for i in 0..graph.num_roads() {
-        if !scheduled[i] && !observed[i] {
-            values[i] = params.mu[i];
-        }
-    }
-
-    // Seed the dirty frontier from the input diff before snapping the new
-    // observations in: `values` still holds the previous round here, so
-    // the diff sees exactly how far each observation moved.
-    let mut dirty = vec![false; graph.num_roads()];
-    let mut frontier = 0usize;
-    if !full_sweep {
-        for &(r, v) in observations {
-            if (v - values[r.index()]).abs() > solver.epsilon {
-                for &(n, _) in graph.neighbors(r) {
-                    if scheduled[n.index()] && !dirty[n.index()] {
-                        dirty[n.index()] = true;
-                        frontier += 1;
-                    }
-                }
-            }
-        }
-        for &r in changed {
-            if r.index() >= graph.num_roads() {
-                continue;
-            }
-            if scheduled[r.index()] && !dirty[r.index()] {
-                dirty[r.index()] = true;
-                frontier += 1;
-            }
-            for &(n, _) in graph.neighbors(r) {
-                if scheduled[n.index()] && !dirty[n.index()] {
-                    dirty[n.index()] = true;
-                    frontier += 1;
-                }
-            }
-        }
-    }
-    for &(r, v) in observations {
-        values[r.index()] = v;
-    }
-
-    let base = &solver.base;
-    let mut trace = Vec::new();
-    let mut rounds = 0usize;
-    let mut evaluated = 0usize;
-    let mut skipped = 0usize;
-    let mut converged =
-        sampled.is_empty() || scheduled_total == 0 || (!full_sweep && frontier == 0);
-    while !converged && rounds < base.max_rounds {
-        rounds += 1;
-        let mut max_delta = 0.0_f64;
-        let mut next_frontier = 0usize;
-        for layer in schedule.layers() {
-            for &r in layer {
-                if !full_sweep && !dirty[r.index()] {
-                    skipped += 1;
-                    continue;
-                }
-                dirty[r.index()] = false;
-                let next = optimal_update(graph, params, &values, r);
-                let change = (next - values[r.index()]).abs();
-                max_delta = max_delta.max(change);
-                values[r.index()] = next;
-                evaluated += 1;
-                if !full_sweep && change >= base.epsilon {
-                    // Residual expansion: the move invalidates every
-                    // adjacent argmax, so the neighborhood re-enters the
-                    // frontier for the next visit.
-                    for &(n, _) in graph.neighbors(r) {
-                        if scheduled[n.index()] && !dirty[n.index()] {
-                            dirty[n.index()] = true;
-                            next_frontier += 1;
-                        }
-                    }
-                }
-            }
-        }
-        if base.record_trace {
-            trace.push(max_delta);
-        }
-        converged = max_delta < base.epsilon || (!full_sweep && next_frontier == 0);
-    }
-    obs.record(Stage::GspItersToConverge, rounds as u64);
-    obs.record(Stage::GspDeltaFrontier, frontier as u64);
-    obs.add(Stage::GspDeltaSkipped, skipped as u64);
-    let result = DeltaResult {
-        result: GspResult {
-            values,
-            rounds,
-            converged,
-            unreachable: schedule.unreachable().to_vec(),
-            delta_trace: trace,
-        },
-        frontier,
-        scheduled: scheduled_total,
-        evaluated,
-        skipped,
-        full_sweep,
-    };
-    #[cfg(feature = "validate")]
-    {
-        if let Err(v) = rtse_check::Validate::validate(params) {
-            rtse_check::fail(&v);
-        }
-        if let Err(v) = rtse_check::Validate::validate(&result) {
-            rtse_check::fail(&v);
-        }
-    }
-    result
+    let frontier = Frontier { epsilon: solver.epsilon, changed };
+    sweep(&solver.base, graph, params, observations, prev, Some(frontier), obs)
 }
 
 #[cfg(test)]
@@ -315,6 +173,7 @@ mod tests {
     use super::*;
     use crate::relax::propagate_warm;
     use rtse_graph::generators::{grid, path};
+    use rtse_obs::Stage;
 
     fn params_for(graph: &Graph, mu: f64, sigma: f64, rho: f64) -> SlotParams {
         SlotParams {
@@ -519,5 +378,24 @@ mod tests {
         let g = path(3);
         let p = params_for(&g, 40.0, 2.0, 0.8);
         propagate_delta(&DeltaGsp::default(), &g, &p, &[(RoadId(0), 30.0)], &[1.0, 2.0], &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "observation for unknown road")]
+    fn out_of_range_observations_rejected() {
+        let g = path(3);
+        let p = params_for(&g, 40.0, 2.0, 0.8);
+        let cfg = DeltaGsp { base: tight(), epsilon: 1e-6 };
+        propagate_delta(&cfg, &g, &p, &[(RoadId(3), 30.0)], &p.mu, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "conflicting observations for r0")]
+    fn conflicting_observations_rejected() {
+        let g = path(3);
+        let p = params_for(&g, 40.0, 2.0, 0.8);
+        let cfg = DeltaGsp { base: tight(), epsilon: 1e-6 };
+        let obs = [(RoadId(0), 10.0), (RoadId(0), 20.0)];
+        propagate_delta(&cfg, &g, &p, &obs, &p.mu, &[]);
     }
 }

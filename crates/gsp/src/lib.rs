@@ -14,21 +14,25 @@
 //! likelihood in that coordinate, so the sweep is coordinate ascent: the
 //! likelihood is non-decreasing and the iteration converges.
 //!
-//! [`parallel`] provides the layer-parallel variant the paper sketches
-//! (variables in the same hop layer updated concurrently).
+//! One private sweep runs that recurrence for every entry point: the cold
+//! [`GspSolver::propagate`] seeds from `μ`, [`propagate_warm`] from the
+//! caller's values, and [`propagate_delta`] from the previous round with a
+//! dirty frontier. All three share one observation contract and leave
+//! unreachable roads at `μ`. The crate is single-threaded; the paper's
+//! layer-parallel sweep (same-layer, non-adjacent roads updated
+//! concurrently) is not shipped.
 
 pub mod delta;
 pub mod exact;
-pub mod parallel;
 pub mod relax;
 pub mod schedule;
 pub mod solver;
+mod sweep;
 pub mod uncertainty;
 
 pub use delta::{propagate_delta, propagate_delta_observed, DeltaGsp, DeltaResult};
 pub use exact::exact_map_estimate;
-pub use parallel::{layer_work, ParallelGsp, MIN_PARALLEL_WORK};
-pub use relax::{propagate_warm, propagate_warm_observed, DampedGsp};
+pub use relax::{propagate_warm, propagate_warm_observed};
 pub use schedule::UpdateSchedule;
 pub use solver::{GspResult, GspSolver};
 pub use uncertainty::{sample_posterior, PosteriorSummary};

@@ -1,70 +1,28 @@
-//! Over-relaxation and warm-started propagation.
+//! Warm-started propagation.
 //!
-//! Two practical accelerations on top of Alg. 5:
-//!
-//! * **SOR** ([`DampedGsp`]) — each coordinate moves `ω` of the way to its
-//!   Eq. (18) argmax. `ω = 1` is plain Gauss–Seidel; `1 < ω < 2`
-//!   over-relaxes and typically converges in fewer rounds on diffusion-like
-//!   systems (the fixed point is unchanged: it is the unique zero of the
-//!   update displacement for any `ω ∈ (0, 2)`).
-//! * **Warm starts** ([`propagate_warm`]) — realtime estimation is
-//!   incremental: the next 5-minute round's solution is close to the
-//!   previous one, and late-arriving probes refine an existing estimate.
-//!   Starting the sweep from the previous values instead of the slot means
-//!   cuts rounds substantially.
+//! Realtime estimation is incremental: the next 5-minute round's solution
+//! is close to the previous one, and late-arriving probes refine an
+//! existing estimate. Starting the sweep from the previous values instead
+//! of the slot means cuts rounds substantially.
 
-use crate::schedule::UpdateSchedule;
 use crate::solver::{GspResult, GspSolver};
+use crate::sweep::sweep;
 use rtse_graph::{Graph, RoadId};
-use rtse_obs::{ObsHandle, Stage};
-use rtse_rtf::likelihood::optimal_update;
+use rtse_obs::ObsHandle;
 use rtse_rtf::params::SlotParams;
-
-/// GSP with successive over-relaxation.
-#[derive(Debug, Clone, Copy)]
-pub struct DampedGsp {
-    /// Base solver settings (`ε`, round cap, trace).
-    pub base: GspSolver,
-    /// Relaxation factor `ω ∈ (0, 2)`.
-    pub omega: f64,
-}
-
-impl Default for DampedGsp {
-    fn default() -> Self {
-        Self { base: GspSolver::default(), omega: 1.4 }
-    }
-}
-
-impl DampedGsp {
-    /// Runs the relaxed propagation.
-    ///
-    /// # Panics
-    /// Panics when `omega` is outside `(0, 2)` (the scheme diverges) or on
-    /// dimension mismatches.
-    pub fn propagate(
-        &self,
-        graph: &Graph,
-        params: &SlotParams,
-        observations: &[(RoadId, f64)],
-    ) -> GspResult {
-        assert!(
-            self.omega > 0.0 && self.omega < 2.0,
-            "SOR requires ω in (0, 2), got {}",
-            self.omega
-        );
-        run(graph, params, observations, None, &self.base, self.omega)
-    }
-}
 
 /// Alg. 5 initialized from `warm_start` instead of the slot means.
 ///
-/// Sampled roads still snap to their observed values; everything else
-/// begins at the warm-start value. The fixed point is the same as the cold
-/// start (the objective has a unique maximizer) — only the round count
-/// changes.
+/// Sampled roads snap to their observed values and roads no observation
+/// reaches take their slot means, as in the cold solver; every scheduled
+/// road begins at its warm-start value. Both runs stop at the first round
+/// that moves no value by `ε` or more, so they approach the same fixed
+/// point from different sides and need not agree bit for bit; from
+/// `warm_start = μ` the run is bit-identical to [`GspSolver::propagate`].
 ///
 /// # Panics
-/// Panics when `warm_start.len()` differs from the road count.
+/// Panics when `warm_start.len()` differs from the road count, and on the
+/// observation and dimension checks of [`GspSolver::propagate`].
 pub fn propagate_warm(
     solver: &GspSolver,
     graph: &Graph,
@@ -81,7 +39,7 @@ pub fn propagate_warm(
 /// unobserved call.
 ///
 /// # Panics
-/// Panics when `warm_start.len()` differs from the road count.
+/// As [`propagate_warm`].
 pub fn propagate_warm_observed(
     solver: &GspSolver,
     graph: &Graph,
@@ -90,64 +48,14 @@ pub fn propagate_warm_observed(
     warm_start: &[f64],
     obs: &ObsHandle,
 ) -> GspResult {
-    let _span = obs.span(Stage::GspRound);
     assert_eq!(warm_start.len(), graph.num_roads(), "warm start length mismatch");
-    let result = run(graph, params, observations, Some(warm_start), solver, 1.0);
-    obs.record(Stage::GspItersToConverge, result.rounds as u64);
-    result
-}
-
-fn run(
-    graph: &Graph,
-    params: &SlotParams,
-    observations: &[(RoadId, f64)],
-    warm_start: Option<&[f64]>,
-    base: &GspSolver,
-    omega: f64,
-) -> GspResult {
-    assert_eq!(params.mu.len(), graph.num_roads(), "params/graph mismatch");
-    let mut values = match warm_start {
-        Some(w) => w.to_vec(),
-        None => params.mu.clone(),
-    };
-    for &(r, v) in observations {
-        values[r.index()] = v;
-    }
-    let sampled: Vec<RoadId> = observations.iter().map(|&(r, _)| r).collect();
-    let schedule = UpdateSchedule::new(graph, &sampled);
-
-    let mut trace = Vec::new();
-    let mut rounds = 0;
-    let mut converged = sampled.is_empty() || schedule.num_scheduled() == 0;
-    while !converged && rounds < base.max_rounds {
-        rounds += 1;
-        let mut max_delta = 0.0_f64;
-        for layer in schedule.layers() {
-            for &r in layer {
-                let target = optimal_update(graph, params, &values, r);
-                let next = (1.0 - omega) * values[r.index()] + omega * target;
-                max_delta = max_delta.max((next - values[r.index()]).abs());
-                values[r.index()] = next;
-            }
-        }
-        if base.record_trace {
-            trace.push(max_delta);
-        }
-        converged = max_delta < base.epsilon;
-    }
-    GspResult {
-        values,
-        rounds,
-        converged,
-        unreachable: schedule.unreachable().to_vec(),
-        delta_trace: trace,
-    }
+    sweep(solver, graph, params, observations, warm_start, None, obs).result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtse_graph::generators::grid;
+    use rtse_graph::generators::{grid, path};
 
     fn params_for(graph: &Graph, mu: f64, sigma: f64, rho: f64) -> SlotParams {
         SlotParams {
@@ -155,45 +63,6 @@ mod tests {
             sigma: vec![sigma; graph.num_roads()],
             rho: vec![rho; graph.num_edges()],
         }
-    }
-
-    #[test]
-    fn sor_reaches_same_fixed_point() {
-        let g = grid(4, 5);
-        let p = params_for(&g, 40.0, 2.5, 0.9);
-        let obs = [(RoadId(0), 25.0), (RoadId(19), 52.0)];
-        let tight = GspSolver { epsilon: 1e-10, max_rounds: 10_000, record_trace: false };
-        let plain = tight.propagate(&g, &p, &obs);
-        let sor = DampedGsp { base: tight, omega: 1.5 }.propagate(&g, &p, &obs);
-        assert!(plain.converged && sor.converged);
-        for r in g.road_ids() {
-            assert!((plain.speed(r) - sor.speed(r)).abs() < 1e-6, "road {r}");
-        }
-    }
-
-    #[test]
-    fn sor_converges_in_fewer_rounds_on_strongly_coupled_grid() {
-        let g = grid(6, 6);
-        let p = params_for(&g, 40.0, 3.0, 0.95);
-        let obs = [(RoadId(0), 20.0)];
-        let tight = GspSolver { epsilon: 1e-9, max_rounds: 10_000, record_trace: false };
-        let plain = tight.propagate(&g, &p, &obs);
-        let sor = DampedGsp { base: tight, omega: 1.5 }.propagate(&g, &p, &obs);
-        assert!(plain.converged && sor.converged);
-        assert!(
-            sor.rounds < plain.rounds,
-            "SOR rounds {} should beat plain {}",
-            sor.rounds,
-            plain.rounds
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "SOR requires")]
-    fn omega_out_of_range_rejected() {
-        let g = grid(2, 2);
-        let p = params_for(&g, 30.0, 2.0, 0.5);
-        DampedGsp { omega: 2.0, ..Default::default() }.propagate(&g, &p, &[]);
     }
 
     #[test]
@@ -249,5 +118,46 @@ mod tests {
         let first = solver.propagate(&g, &p, &obs);
         let again = propagate_warm(&solver, &g, &p, &obs, &first.values);
         assert!(again.rounds <= 2, "re-solving a solved system: {} rounds", again.rounds);
+    }
+
+    #[test]
+    fn warm_start_resets_unreachable_roads_to_the_prior() {
+        // Two islands, 0-1-2 and 3-4, probed on the first only: the
+        // second island must read μ, not the seed it was handed.
+        let mut b = rtse_graph::GraphBuilder::new();
+        for i in 0..5 {
+            b.add_road(rtse_graph::RoadClass::Local, (i as f64, 0.0));
+        }
+        b.add_edge(RoadId(0), RoadId(1));
+        b.add_edge(RoadId(1), RoadId(2));
+        b.add_edge(RoadId(3), RoadId(4));
+        let g = b.build();
+        let p = params_for(&g, 40.0, 2.0, 0.9);
+        let solver = GspSolver::default();
+        let seed = [11.0, 12.0, 13.0, 14.0, 15.0];
+        let warm = propagate_warm(&solver, &g, &p, &[(RoadId(0), 20.0)], &seed);
+        assert_eq!(warm.speed(RoadId(3)).to_bits(), 40.0_f64.to_bits());
+        assert_eq!(warm.speed(RoadId(4)).to_bits(), 40.0_f64.to_bits());
+        assert_eq!(warm.unreachable, vec![RoadId(3), RoadId(4)]);
+        // No observations at all: every road is unreachable.
+        let empty = propagate_warm(&solver, &g, &p, &[], &seed);
+        assert!(empty.values.iter().all(|v| v.to_bits() == 40.0_f64.to_bits()));
+    }
+
+    #[test]
+    #[should_panic(expected = "observation for unknown road")]
+    fn warm_start_rejects_out_of_range_observations() {
+        let g = path(3);
+        let p = params_for(&g, 40.0, 2.0, 0.8);
+        propagate_warm(&GspSolver::default(), &g, &p, &[(RoadId(3), 30.0)], &p.mu);
+    }
+
+    #[test]
+    #[should_panic(expected = "conflicting observations for r0")]
+    fn warm_start_rejects_conflicting_observations() {
+        let g = path(3);
+        let p = params_for(&g, 40.0, 2.0, 0.8);
+        let obs = [(RoadId(0), 10.0), (RoadId(0), 20.0)];
+        propagate_warm(&GspSolver::default(), &g, &p, &obs, &p.mu);
     }
 }

@@ -6,7 +6,7 @@ use rtse_graph::{bfs_layers, Graph, RoadId};
 ///
 /// Roads in `layers[l]` are exactly the roads at hop distance `l + 1` from
 /// the sampled set; `unreachable` roads have no path to any sampled road
-/// and keep their initialization (their Eq. (18) update would never be
+/// and stay at their slot mean `μ` (their Eq. (18) update would never be
 /// triggered — see the paper's discussion below Eq. (18)).
 #[derive(Debug, Clone)]
 pub struct UpdateSchedule {

@@ -1,8 +1,7 @@
-//! Sequential GSP solver (Alg. 5).
+//! The GSP solver configuration and the cold propagation (Alg. 5).
 
-use crate::schedule::UpdateSchedule;
+use crate::sweep::sweep;
 use rtse_graph::{Graph, RoadId};
-use rtse_rtf::likelihood::optimal_update;
 use rtse_rtf::params::SlotParams;
 
 /// GSP configuration.
@@ -96,7 +95,8 @@ impl rtse_check::Validate for GspResult {
 
 impl GspSolver {
     /// Runs Alg. 5: propagates `observations` (pairs of sampled road and
-    /// observed speed) over the whole network.
+    /// observed speed) over the whole network, starting every other road
+    /// at its slot mean.
     ///
     /// # Panics
     /// Panics when an observed road id is out of range or observed twice
@@ -115,6 +115,9 @@ impl GspSolver {
     /// is timed as one `gsp.round` span and the executed sweep count
     /// lands in the `gsp.iters_to_converge` histogram on `obs`. Estimates
     /// are bit-identical to the unobserved call.
+    ///
+    /// # Panics
+    /// As [`propagate`](Self::propagate).
     pub fn propagate_observed(
         &self,
         graph: &Graph,
@@ -122,68 +125,16 @@ impl GspSolver {
         observations: &[(RoadId, f64)],
         obs: &rtse_obs::ObsHandle,
     ) -> GspResult {
-        let _span = obs.span(rtse_obs::Stage::GspRound);
-        assert_eq!(params.mu.len(), graph.num_roads(), "params/graph mismatch");
-        // Initialization (Alg. 5 line 2): observed values for sampled
-        // roads, slot means elsewhere.
-        let mut values = params.mu.clone();
-        let mut observed = vec![false; graph.num_roads()];
-        for &(r, v) in observations {
-            assert!(r.index() < graph.num_roads(), "observation for unknown road {r}");
-            assert!(
-                !observed[r.index()] || (values[r.index()] - v).abs() < 1e-12,
-                "conflicting observations for {r}"
-            );
-            observed[r.index()] = true;
-            values[r.index()] = v;
-        }
-        let sampled: Vec<RoadId> = observations.iter().map(|&(r, _)| r).collect();
-        let schedule = UpdateSchedule::new(graph, &sampled);
-
-        let mut trace = Vec::new();
-        let mut rounds = 0;
-        let mut converged = sampled.is_empty() || schedule.num_scheduled() == 0;
-        while !converged && rounds < self.max_rounds {
-            rounds += 1;
-            let mut max_delta = 0.0_f64;
-            for layer in schedule.layers() {
-                for &r in layer {
-                    let next = optimal_update(graph, params, &values, r);
-                    max_delta = max_delta.max((next - values[r.index()]).abs());
-                    values[r.index()] = next;
-                }
-            }
-            if self.record_trace {
-                trace.push(max_delta);
-            }
-            converged = max_delta < self.epsilon;
-        }
-        obs.record(rtse_obs::Stage::GspItersToConverge, rounds as u64);
-        let result = GspResult {
-            values,
-            rounds,
-            converged,
-            unreachable: schedule.unreachable().to_vec(),
-            delta_trace: trace,
-        };
-        #[cfg(feature = "validate")]
-        {
-            if let Err(v) = rtse_check::Validate::validate(params) {
-                rtse_check::fail(&v);
-            }
-            if let Err(v) = rtse_check::Validate::validate(&result) {
-                rtse_check::fail(&v);
-            }
-        }
-        result
+        sweep(self, graph, params, observations, &params.mu, None, obs).result
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::UpdateSchedule;
     use rtse_graph::generators::{grid, path};
-    use rtse_rtf::likelihood::config_log_likelihood;
+    use rtse_rtf::likelihood::{config_log_likelihood, optimal_update};
 
     fn params_for(graph: &Graph, mu: f64, sigma: f64, rho: f64) -> SlotParams {
         SlotParams {

@@ -1,21 +1,20 @@
 //! Shared scoped worker pool for the offline/online pipeline.
 //!
-//! Three hot paths fan work across threads — the all-pairs correlation
-//! table (one Dijkstra per road), full-model RTF training (288 independent
-//! per-slot CCD fits), and layer-parallel GSP (Jacobi sweeps over BFS
-//! layers). Each used to bring its own ad-hoc threading; this crate is the
-//! single sanctioned home for OS threads (`cargo xtask lint` flags raw
-//! `std::thread::spawn`/`thread::scope` anywhere else in library code).
+//! Two offline paths fan work across threads — the all-pairs correlation
+//! table (one Dijkstra per road) and full-model RTF training (288
+//! independent per-slot CCD fits) — and the serving layer runs its
+//! workers here. Each used to bring its own ad-hoc threading; this crate
+//! is the single sanctioned home for OS threads (`cargo xtask lint` flags
+//! raw `std::thread::spawn`/`thread::scope` anywhere else in library
+//! code).
 //!
 //! Two entry points:
 //!
 //! * [`ComputePool::map`] — order-preserving parallel map for one-shot
 //!   fan-outs (table rows, training slots). Spawns its workers once per
 //!   call, so the spawn cost amortizes over the whole batch.
-//! * [`ComputePool::scoped`] — persistent workers for iterative solvers:
-//!   the workers are spawned once and [`PoolScope::run_chunks`] dispatches
-//!   many small batches to them (GSP runs hundreds of layer sweeps per
-//!   propagation; per-sweep spawning dominated the old implementation).
+//! * [`ComputePool::scoped`] — persistent workers: they are spawned once
+//!   and every [`PoolScope::submit`] in the scope queues a job to them.
 //!
 //! Everything is scoped-thread based (`std::thread::scope` under the
 //! hood), so jobs may borrow non-`'static` data — graphs, parameter
@@ -25,10 +24,9 @@
 //! ## Determinism
 //!
 //! The pool never changes *what* is computed, only *where*: `map`
-//! preserves item order in its output and `run_chunks` reassembles chunk
-//! results in chunk order, so results are bit-identical at every thread
-//! count (enforced by serial-equivalence property tests in the consumer
-//! crates). Worker panics are captured and re-raised on the caller's
+//! preserves item order in its output, so results are bit-identical at
+//! every thread count (enforced by serial-equivalence property tests in
+//! the consumer crates). Worker panics are captured and re-raised on the caller's
 //! thread after the batch drains, matching plain-loop semantics.
 //!
 //! ## Sizing
@@ -246,49 +244,6 @@ impl<'p> PoolScope<'p> {
             None => job(),
         }
     }
-
-    /// Splits `items` into ≤ `target_chunks` contiguous chunks, applies
-    /// `f` to each chunk on the pool, and returns the per-chunk results
-    /// in chunk order. Short-circuits to an inline serial pass when the
-    /// pool is single-threaded or only one chunk would be dispatched, so
-    /// small batches pay no synchronization cost. Panics in `f` are
-    /// re-raised here after the batch drains.
-    ///
-    /// `f` must be `Copy` (e.g. a capture-by-reference closure) because
-    /// each chunk's job carries its own copy into the pool.
-    pub fn run_chunks<T, O, F>(&self, items: &'p [T], target_chunks: usize, f: F) -> Vec<O>
-    where
-        T: Sync,
-        O: Send + 'p,
-        F: Fn(&'p [T]) -> O + Send + Copy + 'p,
-    {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let chunk = items.len().div_ceil(target_chunks.max(1)).max(1);
-        if self.tx.is_none() || chunk >= items.len() {
-            return items.chunks(chunk).map(f).collect();
-        }
-        let (tx, rx) = channel::<(usize, std::thread::Result<O>)>();
-        for (ci, part) in items.chunks(chunk).enumerate() {
-            let tx = tx.clone();
-            self.submit(Box::new(move || {
-                let out = std::panic::catch_unwind(AssertUnwindSafe(|| f(part)));
-                let _ = tx.send((ci, out));
-            }));
-        }
-        drop(tx);
-        let mut tagged: Vec<(usize, std::thread::Result<O>)> = rx.into_iter().collect();
-        tagged.sort_unstable_by_key(|&(i, _)| i);
-        let mut out = Vec::with_capacity(tagged.len());
-        for (_, result) in tagged {
-            match result {
-                Ok(o) => out.push(o),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -338,40 +293,26 @@ mod tests {
     }
 
     #[test]
-    fn run_chunks_matches_serial_and_keeps_chunk_order() {
-        let items: Vec<u64> = (0..97).collect();
-        let serial: Vec<u64> = vec![items.iter().sum()];
-        let serial_total: u64 = serial[0];
-        for threads in 1..=8 {
-            let pool = ComputePool::new(threads);
-            let sums = pool
-                .scoped(|scope| scope.run_chunks(&items, threads, |part| part.iter().sum::<u64>()));
-            assert_eq!(sums.iter().sum::<u64>(), serial_total, "threads = {threads}");
-            // Chunk order: the first result covers the smallest items.
-            let chunk = items.len().div_ceil(threads).max(1);
-            let first_expected: u64 = items[..chunk.min(items.len())].iter().sum();
-            assert_eq!(sums.first().copied(), Some(first_expected), "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn scoped_workers_persist_across_batches() {
+        // Ten batches through one scope run on the same four workers: no
+        // batch spawns threads of its own.
         let pool = ComputePool::new(4);
         let counter = AtomicUsize::new(0);
-        let items: Vec<usize> = (0..64).collect();
+        let workers = std::sync::Mutex::new(std::collections::HashSet::new());
         pool.scoped(|scope| {
-            for _round in 0..10 {
-                let n = scope
-                    .run_chunks(&items, 4, |part| {
-                        counter.fetch_add(part.len(), Ordering::Relaxed);
-                        part.len()
-                    })
-                    .iter()
-                    .sum::<usize>();
-                assert_eq!(n, 64);
+            for _batch in 0..10 {
+                for _job in 0..64 {
+                    scope.submit(Box::new(|| {
+                        counter.fetch_add(1, Ordering::Relaxed);
+                        workers.lock().unwrap().insert(std::thread::current().id());
+                    }));
+                }
             }
         });
         assert_eq!(counter.load(Ordering::Relaxed), 640);
+        let workers = workers.into_inner().unwrap();
+        assert!(!workers.contains(&std::thread::current().id()), "jobs ran on the caller");
+        assert!(workers.len() <= 4, "{} threads served one scope", workers.len());
     }
 
     #[test]

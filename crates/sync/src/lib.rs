@@ -13,11 +13,11 @@
 //! Two deliberate gaps keep the shim fail-closed rather than silently
 //! unfaithful:
 //!
-//! * `mpsc`, `RwLock`, and `std::thread::scope` have no loom
+//! * `mpsc`, `Barrier`, and `std::thread::scope` have no loom
 //!   counterparts here, so they are only re-exported when the cfg is
-//!   off. Code using them (`rtse-pool`, `rtse-serve` request plumbing,
-//!   `rtse-gsp` parallel state) cannot be compiled into a loom model by
-//!   accident — attempting it is a compile error, not a wrong answer.
+//!   off. Code using them (`rtse-pool`, `rtse-serve` request plumbing)
+//!   cannot be compiled into a loom model by accident — attempting it is
+//!   a compile error, not a wrong answer.
 //! * The loom backend is sequentially consistent: it validates protocol
 //!   logic (lost updates, double builds, torn reads, deadlock), while
 //!   the per-site ordering table in DESIGN.md §8 plus the
@@ -49,7 +49,7 @@ pub use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, OnceLock, Poiso
 // No loom counterpart: available on the std backend only (fail-closed —
 // see the crate docs).
 #[cfg(not(rtse_loom))]
-pub use std::sync::{mpsc, Barrier, RwLock, RwLockReadGuard, RwLockWriteGuard};
+pub use std::sync::{mpsc, Barrier};
 
 pub mod atomic {
     //! `std::sync::atomic` through the shim.

@@ -108,8 +108,7 @@ pub mod prelude {
     pub use rtse_graph::{Graph, GraphBuilder, Road, RoadClass, RoadId};
     pub use rtse_gsp::{
         exact_map_estimate, propagate_delta, propagate_delta_observed, propagate_warm,
-        sample_posterior, DampedGsp, DeltaGsp, DeltaResult, GspSolver, ParallelGsp,
-        PosteriorSummary,
+        sample_posterior, DeltaGsp, DeltaResult, GspSolver, PosteriorSummary,
     };
     pub use rtse_obs::{ObsHandle, Registry, Stage};
     pub use rtse_ocs::{
