@@ -27,8 +27,8 @@ fn main() {
         "Table III — 1-hop / 2-hop coverage of the queried roads",
         &["selector", "K=30", "K=60", "K=90", "K=120", "K=150"],
     );
-    let mut rows: Vec<(&str, Vec<String>)> =
-        vec![("OBJ", Vec::new()), ("Rand", Vec::new()), ("Hybrid", Vec::new())];
+    // coverage[b][s]: (1-hop, 2-hop) coverage of selector `s` at budget `b`.
+    let mut coverage: Vec<[(usize, usize); 3]> = Vec::new();
     for &budget in &BUDGETS_SEMI_SYN {
         let inst = OcsInstance {
             sigma: &params.sigma,
@@ -40,15 +40,18 @@ fn main() {
             theta: THETA_TUNED,
         };
         let selections = [objective_greedy(&inst), random_select(&inst, 7), hybrid_greedy(&inst)];
-        for (row, sel) in rows.iter_mut().zip(selections.iter()) {
+        coverage.push(selections.map(|sel| {
             let c1 = k_hop_coverage(&world.graph, queried, &sel.roads, 1);
             let c2 = k_hop_coverage(&world.graph, queried, &sel.roads, 2);
-            row.1.push(format!("{c1} / {c2}"));
-        }
+            (c1, c2)
+        }));
     }
-    for (name, cells) in rows {
+    for (s, name) in SELECTORS.iter().enumerate() {
         let mut row = vec![name.to_string()];
-        row.extend(cells);
+        row.extend(coverage.iter().map(|at_budget| {
+            let (c1, c2) = at_budget[s];
+            format!("{c1} / {c2}")
+        }));
         t.push_row(row);
     }
     println!("{}", t.render());
@@ -58,5 +61,51 @@ fn main() {
             Err(e) => eprintln!("warning: csv write failed: {e}"),
         }
     }
-    println!("Shape check: coverage grows with K and Hybrid >= OBJ >= Rand (paper Table III).");
+
+    // The paper's two shape claims, evaluated on the table above. Each
+    // lists the budgets where it fails, with the selectors responsible.
+    let mut falls = Vec::new();
+    let mut misordered = Vec::new();
+    for (b, &budget) in BUDGETS_SEMI_SYN.iter().enumerate() {
+        if b > 0 {
+            let fell: Vec<&str> = SELECTORS
+                .iter()
+                .enumerate()
+                .filter(|&(s, _)| !covers_at_least(coverage[b][s], coverage[b - 1][s]))
+                .map(|(_, name)| *name)
+                .collect();
+            if !fell.is_empty() {
+                falls.push(format!("K={budget} ({} fell)", fell.join(", ")));
+            }
+        }
+        let [obj, rand, hybrid] = coverage[b];
+        let mut broken = Vec::new();
+        if !covers_at_least(hybrid, obj) {
+            broken.push("Hybrid < OBJ");
+        }
+        if !covers_at_least(obj, rand) {
+            broken.push("OBJ < Rand");
+        }
+        if !broken.is_empty() {
+            misordered.push(format!("K={budget} ({})", broken.join(", ")));
+        }
+    }
+    println!("Shape check (paper Table III):");
+    println!("  coverage grows with K: {}", verdict(&falls));
+    println!("  Hybrid >= OBJ >= Rand: {}", verdict(&misordered));
+}
+
+const SELECTORS: [&str; 3] = ["OBJ", "Rand", "Hybrid"];
+
+/// Whether coverage `a` is at least `b` at both hop counts.
+fn covers_at_least(a: (usize, usize), b: (usize, usize)) -> bool {
+    a.0 >= b.0 && a.1 >= b.1
+}
+
+fn verdict(failures: &[String]) -> String {
+    if failures.is_empty() {
+        "holds at every budget".to_string()
+    } else {
+        format!("fails at {}", failures.join("; "))
+    }
 }

@@ -1,36 +1,15 @@
-//! Budget allocation across queries and across the day.
+//! Budget allocation across the day.
 //!
 //! The paper fixes one budget `K` per query. A deployment has a *daily*
-//! budget and must decide when (and for whom) to spend it:
-//!
-//! * [`merge_queries`] — concurrent queries at the same slot are answered
-//!   best by one joint OCS run over the union of their queried roads (the
-//!   objective is a sum over queried roads, so merging loses nothing and
-//!   lets probes serve several queries at once);
-//! * [`plan_daily_budget`] — splits a day's budget across monitoring
-//!   slots proportionally to the network's expected volatility
-//!   `Σ_i σ_i^t` in each slot: calm overnight slots get little, rush
-//!   hours get the bulk — the same weak-periodicity-first principle OCS
-//!   applies within a slot (Eq. 13), lifted to the time axis.
+//! budget and must decide when to spend it. [`plan_daily_budget`] splits
+//! a day's budget across monitoring slots proportionally to the
+//! network's expected volatility `Σ_i σ_i^t` in each slot: calm overnight
+//! slots get little, rush hours get the bulk — the same
+//! weak-periodicity-first principle OCS applies within a slot (Eq. 13),
+//! lifted to the time axis.
 
-use crate::query::SpeedQuery;
 use rtse_data::SlotOfDay;
-use rtse_graph::RoadId;
 use rtse_rtf::RtfModel;
-
-/// Merges concurrent queries at the same slot into one joint query.
-///
-/// # Panics
-/// Panics when the queries disagree on the slot or the list is empty.
-pub fn merge_queries(queries: &[SpeedQuery]) -> SpeedQuery {
-    assert!(!queries.is_empty(), "need at least one query");
-    let first = &queries[0];
-    assert!(queries.iter().all(|q| q.slot == first.slot), "merge_queries requires a common slot");
-    let mut roads: Vec<RoadId> = queries.iter().flat_map(|q| q.roads.iter().copied()).collect();
-    roads.sort();
-    roads.dedup();
-    SpeedQuery { roads, slot: first.slot }
-}
 
 /// Splits `total_budget` across `slots` proportionally to the model's
 /// per-slot volatility mass `Σ_i σ_i^t`, with largest-remainder rounding
@@ -75,24 +54,6 @@ mod tests {
     use rtse_data::{SynthConfig, TrafficGenerator, SLOTS_PER_DAY};
     use rtse_graph::generators::grid;
     use rtse_rtf::moment_estimate;
-
-    #[test]
-    fn merge_unions_and_dedups() {
-        let slot = SlotOfDay(10);
-        let a = SpeedQuery::new(vec![RoadId(1), RoadId(3)], slot);
-        let b = SpeedQuery::new(vec![RoadId(3), RoadId(5)], slot);
-        let m = merge_queries(&[a, b]);
-        assert_eq!(m.roads, vec![RoadId(1), RoadId(3), RoadId(5)]);
-        assert_eq!(m.slot, slot);
-    }
-
-    #[test]
-    #[should_panic(expected = "common slot")]
-    fn merge_rejects_mixed_slots() {
-        let a = SpeedQuery::new(vec![RoadId(1)], SlotOfDay(1));
-        let b = SpeedQuery::new(vec![RoadId(2)], SlotOfDay(2));
-        merge_queries(&[a, b]);
-    }
 
     fn trained_model() -> (rtse_graph::Graph, RtfModel) {
         let graph = grid(3, 4);

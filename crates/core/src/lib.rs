@@ -22,7 +22,7 @@ pub mod query;
 pub mod session;
 
 pub use active::{posterior_stds, variance_aware_select};
-pub use allocator::{merge_queries, plan_daily_budget};
+pub use allocator::plan_daily_budget;
 pub use engine::{CrowdRtse, DeltaPolicy, OnlineConfig, PrevRound, SelectionStrategy};
 pub use estimator::GspEstimator;
 pub use offline::{CorrSubstrate, OfflineArtifacts};

@@ -13,14 +13,11 @@ use rtse_sync::{Arc, OnceLock};
 /// Which Γ substrate the offline stage materializes per slot.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum CorrSubstrate {
-    /// Dense all-pairs table — exact for both [`PathCorrelation`]
-    /// semantics, O(n²) memory. The default, matching the paper.
+    /// Dense all-pairs table, O(n²) memory. The default, matching the
+    /// paper.
     #[default]
     Dense,
-    /// Floor/top-k pruned CSR table — city-scale memory, `MaxProduct`
-    /// only. When the ablation `ReciprocalSum` semantics is selected the
-    /// engine falls back to the dense build (the reciprocal transform has
-    /// no sound pruning bound; see `rtse_rtf::sparse_corr`).
+    /// Floor/top-k pruned CSR table — city-scale memory.
     Sparse(SparseCorrConfig),
 }
 
@@ -34,7 +31,6 @@ pub enum CorrSubstrate {
 /// [`Self::prewarm`] builds the rest.
 pub struct OfflineArtifacts {
     model: RtfModel,
-    semantics: PathCorrelation,
     substrate: CorrSubstrate,
     obs: ObsHandle,
     /// One lazily-initialized entry per slot of the day. A cold build
@@ -61,19 +57,10 @@ impl OfflineArtifacts {
     pub fn from_model(model: RtfModel) -> Self {
         Self {
             model,
-            semantics: PathCorrelation::MaxProduct,
             substrate: CorrSubstrate::Dense,
             obs: ObsHandle::noop(),
             corr_cache: fresh_cache(),
         }
-    }
-
-    /// Overrides the path-correlation semantics (ablation use). Clears the
-    /// cache.
-    pub fn with_semantics(mut self, semantics: PathCorrelation) -> Self {
-        self.semantics = semantics;
-        self.corr_cache = fresh_cache();
-        self
     }
 
     /// Selects the Γ substrate materialized per slot (default
@@ -109,7 +96,8 @@ impl OfflineArtifacts {
         &self.model
     }
 
-    /// The correlation table for a slot, creating it on first use.
+    /// The slot's `MaxProduct` correlation table, creating it on first
+    /// use.
     ///
     /// Per-slot once-initialization: a warm slot returns immediately even
     /// while another slot's table is mid-build, and duplicate concurrent
@@ -119,7 +107,7 @@ impl OfflineArtifacts {
     /// is built whole.
     pub fn corr_table(&self, graph: &Graph, slot: SlotOfDay) -> Arc<CorrTable> {
         self.corr_entry(slot, || match self.substrate {
-            CorrSubstrate::Sparse(config) if self.semantics == PathCorrelation::MaxProduct => {
+            CorrSubstrate::Sparse(config) => {
                 CorrTable::Sparse(SparseCorrelationTable::build_observed(
                     graph,
                     &self.model,
@@ -129,12 +117,11 @@ impl OfflineArtifacts {
                     &self.obs,
                 ))
             }
-            // Dense, or the ReciprocalSum ablation (no sound sparse bound).
-            _ => CorrTable::Dense(CorrelationTable::new(
+            CorrSubstrate::Dense => CorrTable::Dense(CorrelationTable::new(
                 graph,
                 &self.model,
                 slot,
-                self.semantics,
+                PathCorrelation::MaxProduct,
                 self.obs.clone(),
             )),
         })
@@ -191,18 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn semantics_override_rebuilds() {
-        let g = grid(2, 3);
-        let cfg = SynthConfig { days: 6, seed: 2, ..SynthConfig::small_test() };
-        let ds = TrafficGenerator::new(&g, cfg).generate();
-        let artifacts = OfflineArtifacts::train(&g, &ds.history, &RtfTrainer::default())
-            .with_semantics(PathCorrelation::ReciprocalSum);
-        let slot = SlotOfDay(0);
-        let t = artifacts.corr_table(&g, slot);
-        assert_eq!(t.semantics(), PathCorrelation::ReciprocalSum);
-    }
-
-    #[test]
     fn sparse_substrate_builds_sparse_tables_and_matches_dense() {
         let (g, artifacts) = small_artifacts(7);
         let slot = SlotOfDay::from_hm(9, 0);
@@ -220,17 +195,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn reciprocal_sum_ablation_falls_back_to_dense() {
-        let (g, artifacts) = small_artifacts(8);
-        let artifacts = artifacts
-            .with_substrate(CorrSubstrate::Sparse(SparseCorrConfig::default()))
-            .with_semantics(PathCorrelation::ReciprocalSum);
-        let t = artifacts.corr_table(&g, SlotOfDay(0));
-        assert!(matches!(t.as_ref(), CorrTable::Dense(_)), "no sound sparse bound for 1/ρ");
-        assert_eq!(t.semantics(), PathCorrelation::ReciprocalSum);
     }
 
     /// Regression test for the head-of-line blocking bug: a warm-slot read

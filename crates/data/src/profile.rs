@@ -60,16 +60,9 @@ impl RoadProfile {
     /// Expected speed at a slot (the periodic mean the RTF's `μ_i^t` should
     /// recover).
     pub fn expected_speed(&self, slot: SlotOfDay) -> f64 {
-        self.expected_speed_scaled(slot, 1.0)
-    }
-
-    /// Expected speed with the rush-hour dips scaled by `dip_scale` — the
-    /// generator passes < 1 on weekend days (lighter commuter traffic).
-    pub fn expected_speed_scaled(&self, slot: SlotOfDay, dip_scale: f64) -> f64 {
         let h = slot.frac_hour();
-        let congestion = dip_scale
-            * (self.morning_dip * bump(h, self.morning_peak_h, self.rush_width_h)
-                + self.evening_dip * bump(h, self.evening_peak_h, self.rush_width_h));
+        let congestion = self.morning_dip * bump(h, self.morning_peak_h, self.rush_width_h)
+            + self.evening_dip * bump(h, self.evening_peak_h, self.rush_width_h);
         // Light night-time speed-up (empty roads).
         let night_boost = 0.05 * bump(h, 3.0, 2.5);
         self.free_flow_kmh * (1.0 - congestion + night_boost).max(0.1)

@@ -1,30 +1,9 @@
 //! Named scenario presets.
 //!
-//! Examples, tests and docs keep reaching for the same handful of
-//! generator configurations; naming them keeps the tuning in one place
-//! and makes experiment writeups reproducible by name.
+//! Naming a generator configuration keeps its tuning in one place and
+//! makes experiment writeups reproducible by name.
 
 use crate::synth::SynthConfig;
-
-/// A calm city: strong periodicity, almost no incidents. Periodic models
-/// do well here — the baseline case.
-pub fn calm(days: usize, seed: u64) -> SynthConfig {
-    SynthConfig {
-        days,
-        seed,
-        incidents_per_day: 0.5,
-        weak_periodicity_fraction: 0.05,
-        weak_periodicity_scale: 2.0,
-        ..SynthConfig::default()
-    }
-}
-
-/// The default mixed city (the library's `SynthConfig::default()` with the
-/// scenario's days/seed): moderate incidents, a minority of weakly
-/// periodic roads.
-pub fn standard(days: usize, seed: u64) -> SynthConfig {
-    SynthConfig { days, seed, ..SynthConfig::default() }
-}
 
 /// A volatile city: paper-difficulty estimation (Per MAPE ~0.15–0.3).
 /// Matches the experiment harness's semi-synthesized world.
@@ -41,26 +20,6 @@ pub fn volatile(days: usize, seed: u64) -> SynthConfig {
         diffusion_weight: 0.35,
         ..SynthConfig::default()
     }
-}
-
-/// An incident storm: frequent, long, severe incidents — the stress case
-/// where periodicity-only estimation collapses.
-pub fn incident_storm(days: usize, seed: u64) -> SynthConfig {
-    SynthConfig {
-        days,
-        seed,
-        incidents_per_day: 20.0,
-        severity_range: (0.5, 0.7),
-        duration_range: (24, 72),
-        incident_radius: 3,
-        ..SynthConfig::default()
-    }
-}
-
-/// A commuter city with weekly seasonality (for the day-type models):
-/// weekend rush dips at 30% of weekday strength.
-pub fn weekly_seasonal(days: usize, seed: u64) -> SynthConfig {
-    SynthConfig { days, seed, weekend_dip_scale: 0.3, ..SynthConfig::default() }
 }
 
 #[cfg(test)]
@@ -84,34 +43,8 @@ mod tests {
 
     #[test]
     fn scenarios_order_by_volatility() {
-        let calm_v = volatility_of(calm(10, 3));
-        let std_v = volatility_of(standard(10, 3));
+        let std_v = volatility_of(SynthConfig { days: 10, seed: 3, ..SynthConfig::default() });
         let vol_v = volatility_of(volatile(10, 3));
-        assert!(calm_v < std_v, "calm {calm_v} vs standard {std_v}");
-        assert!(std_v < vol_v, "standard {std_v} vs volatile {vol_v}");
-    }
-
-    #[test]
-    fn incident_storm_depresses_speeds() {
-        let g = grid(3, 4);
-        let calm_ds = TrafficGenerator::new(&g, calm(6, 9)).generate();
-        let storm_ds = TrafficGenerator::new(&g, incident_storm(6, 9)).generate();
-        let mean_speed = |ds: &crate::SynthDataset| {
-            let mut sum = 0.0;
-            let mut n = 0usize;
-            for rec in ds.history.records() {
-                sum += rec.speed_kmh;
-                n += 1;
-            }
-            sum / n as f64
-        };
-        assert!(mean_speed(&storm_ds) < mean_speed(&calm_ds));
-    }
-
-    #[test]
-    fn weekly_seasonal_sets_the_dip_scale() {
-        let cfg = weekly_seasonal(14, 1);
-        assert_eq!(cfg.weekend_dip_scale, 0.3);
-        assert_eq!(cfg.days, 14);
+        assert!(std_v < vol_v, "default {std_v} vs volatile {vol_v}");
     }
 }

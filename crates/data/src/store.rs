@@ -135,8 +135,7 @@ impl HistoryStore {
 
     /// Blanks out every day for which `keep` returns false (same shape,
     /// non-matching days become missing). The samplers skip missing data,
-    /// so moment estimation on the result uses only the kept days — this
-    /// is how the day-type models split weekday/weekend history.
+    /// so moment estimation on the result uses only the kept days.
     pub fn retain_days(&self, keep: impl Fn(usize) -> bool) -> HistoryStore {
         let mut out = self.clone();
         for day in 0..self.num_days {

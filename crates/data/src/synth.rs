@@ -53,11 +53,6 @@ pub struct SynthConfig {
     pub weak_periodicity_fraction: f64,
     /// Volatility multiplier applied to those weakly periodic roads.
     pub weak_periodicity_scale: f64,
-    /// Rush-hour dip multiplier on weekend days (`day % 7 ∈ {5, 6}`); 1.0
-    /// disables weekly seasonality (the library default — the paper's
-    /// single per-slot model assumes it away), values < 1 lighten weekend
-    /// congestion for the day-type-model extension.
-    pub weekend_dip_scale: f64,
     /// Floor applied to generated speeds, km/h. Real 5-minute average
     /// feeds bottom out well above zero even in jams; a floor near zero
     /// makes APE-based metrics explode on incident roads.
@@ -79,7 +74,6 @@ impl Default for SynthConfig {
             diffusion_weight: 0.5,
             weak_periodicity_fraction: 0.2,
             weak_periodicity_scale: 4.0,
-            weekend_dip_scale: 1.0,
             min_speed_kmh: 5.0,
             seed: 0xC0FFEE,
         }
@@ -211,7 +205,6 @@ impl<'g> TrafficGenerator<'g> {
         let mut smoothed = vec![0.0_f64; n];
         let ar = self.config.temporal_persistence;
         let innov = (1.0 - ar * ar).sqrt();
-        let dip_scale = if day % 7 >= 5 { self.config.weekend_dip_scale } else { 1.0 };
         for slot in SlotOfDay::all() {
             // Fresh spatially-correlated innovations.
             for e in eta.iter_mut() {
@@ -235,8 +228,7 @@ impl<'g> TrafficGenerator<'g> {
             for r in 0..n {
                 z[r] = ar * z[r] + innov * eta[r];
                 let profile = &self.profiles[r];
-                let mut speed =
-                    profile.expected_speed_scaled(slot, dip_scale) + profile.noise_std(slot) * z[r];
+                let mut speed = profile.expected_speed(slot) + profile.noise_std(slot) * z[r];
                 for (inc, hops) in incidents {
                     speed *= inc.speed_multiplier(day, slot, hops[r]);
                 }

@@ -1,12 +1,9 @@
-//! Edge configuration and its environment knobs.
+//! Edge configuration.
 
 use rtse_check::InvariantViolation;
 use rtse_data::SlotOfDay;
 use rtse_obs::ObsHandle;
 use std::time::Duration;
-
-/// Environment override for the number of listener shards.
-pub const SHARDS_ENV: &str = "RTSE_EDGE_SHARDS";
 
 /// Most listener shards a config may ask for. Each shard is one OS
 /// thread on the compute pool; beyond this the accept path is never the
@@ -71,8 +68,8 @@ pub struct EdgeConfig {
     /// Listen address. Port 0 binds an ephemeral port; the bound address
     /// is reported by [`crate::EdgeHandle::addr`].
     pub addr: String,
-    /// Listener shard threads sharing the accept socket. `0` reads
-    /// [`SHARDS_ENV`], defaulting to 1.
+    /// Listener shard threads sharing the accept socket, in
+    /// `1..=`[`MAX_SHARDS`].
     pub shards: usize,
     /// Most roads one query frame may name; larger frames are rejected
     /// by the decoder before the road list is materialized.
@@ -93,7 +90,7 @@ impl Default for EdgeConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            shards: 0,
+            shards: 1,
             max_roads_per_query: 64,
             idle_timeout: Duration::from_secs(30),
             prewarm: None,
@@ -102,41 +99,10 @@ impl Default for EdgeConfig {
     }
 }
 
-impl EdgeConfig {
-    /// The default configuration with any `RTSE_EDGE_*` environment
-    /// overrides applied.
-    pub fn from_env() -> Self {
-        Self::default().with_env_overrides()
-    }
-
-    /// Applies the `RTSE_EDGE_*` environment overrides ([`SHARDS_ENV`]).
-    /// Unset or unparsable variables leave the field untouched.
-    pub fn with_env_overrides(mut self) -> Self {
-        if let Some(n) = env_usize(SHARDS_ENV) {
-            if n >= 1 {
-                self.shards = n;
-            }
-        }
-        self
-    }
-
-    /// Listener shards after resolving the `0 = from env` default.
-    pub fn resolved_shards(&self) -> usize {
-        match self.shards {
-            0 => env_usize(SHARDS_ENV).filter(|&n| n >= 1).unwrap_or(1),
-            n => n,
-        }
-    }
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok().and_then(|raw| raw.trim().parse::<usize>().ok())
-}
-
 impl rtse_check::Validate for EdgeConfig {
     fn validate(&self) -> Result<(), InvariantViolation> {
-        rtse_check::ensure(self.resolved_shards() <= MAX_SHARDS, "edge.shards_bounded", || {
-            format!("{} listener shards; the cap is {MAX_SHARDS}", self.resolved_shards())
+        rtse_check::ensure((1..=MAX_SHARDS).contains(&self.shards), "edge.shards_bounded", || {
+            format!("{} listener shards outside 1..={MAX_SHARDS}", self.shards)
         })?;
         rtse_check::ensure(
             (1..=MAX_ROADS_PER_QUERY).contains(&self.max_roads_per_query),
@@ -168,10 +134,25 @@ mod tests {
         EdgeConfig::default().validate().expect("default must validate");
     }
 
+    /// The default must not depend on the process environment, so that
+    /// the shard count `validate` checks is the one `edge_serve` binds.
+    #[test]
+    fn default_shards_ignore_the_environment() {
+        std::env::set_var("RTSE_EDGE_SHARDS", "65");
+        let cfg = EdgeConfig::default();
+        let validated = cfg.validate();
+        std::env::remove_var("RTSE_EDGE_SHARDS");
+        validated.expect("default must validate whatever the environment says");
+        assert_eq!(cfg.shards, 1);
+    }
+
     #[test]
     fn invalid_configs_name_their_invariant() {
         let too_many = EdgeConfig { shards: MAX_SHARDS + 1, ..Default::default() };
         assert_eq!(too_many.validate().expect_err("must fail").invariant, "edge.shards_bounded");
+
+        let no_shards = EdgeConfig { shards: 0, ..Default::default() };
+        assert_eq!(no_shards.validate().expect_err("must fail").invariant, "edge.shards_bounded");
 
         let no_roads = EdgeConfig { max_roads_per_query: 0, ..Default::default() };
         assert_eq!(

@@ -10,16 +10,16 @@
 //!   malformed byte is a typed [`FrameError`], an adversarial length
 //!   prefix is rejected before any payload is buffered, and a partial
 //!   read at any byte boundary just waits for more bytes.
-//! * **Sharded accept loops** ([`server`]): `RTSE_EDGE_SHARDS` listener
-//!   threads (on the workspace compute pool), each owning its accepted
-//!   connections outright — decode, pre-admission bounds checks, submit
-//!   to the serving queue, fan answers back by request id, idle
-//!   timeouts. The only cross-thread contention is the serving queue,
-//!   which is exactly the backpressure boundary it is meant to be.
+//! * **Sharded accept loops** ([`server`]): [`EdgeConfig::shards`]
+//!   listener threads (on the workspace compute pool), each owning its
+//!   accepted connections outright — decode, pre-admission bounds
+//!   checks, submit to the serving queue, fan answers back by request
+//!   id, idle timeouts. The only cross-thread contention is the serving
+//!   queue, which is exactly the backpressure boundary it is meant to be.
 //! * **Slot-rollover prewarm** ([`rollover`]): a background thread
 //!   builds the *next* 5-minute slot's correlation table and warms its
 //!   answer cache before the boundary, so rollover stops being a
-//!   recurring latency cliff (`BENCH_edge.json` records before/after).
+//!   recurring latency cliff (EXPERIMENTS.md records before/after).
 //! * **Graceful drain**: shutdown resolves every in-flight request on
 //!   the wire — answer or typed reject — flushes each connection, and
 //!   says goodbye with a typed `GoAway` frame. No accepted request is
@@ -37,7 +37,7 @@ pub mod rollover;
 pub mod server;
 
 pub use client::{ClientError, ClientReply, EdgeClient};
-pub use config::{EdgeConfig, PrewarmConfig, MAX_ROADS_PER_QUERY, MAX_SHARDS, SHARDS_ENV};
+pub use config::{EdgeConfig, PrewarmConfig, MAX_ROADS_PER_QUERY, MAX_SHARDS};
 pub use error::EdgeError;
 pub use frame::{
     decode_frame, encode_frame, AnswerFrame, DecodeLimits, Frame, FrameError, GoAwayCode,

@@ -190,7 +190,7 @@ pub fn edge_serve<R>(
         .local_addr()
         .map_err(|e| EdgeError::Bind { addr: edge_config.addr.clone(), detail: e.to_string() })?;
 
-    let shards = edge_config.resolved_shards();
+    let shards = edge_config.shards;
     let mut listeners = Vec::with_capacity(shards);
     for shard in 1..shards {
         let clone =

@@ -341,6 +341,120 @@ fn sharded_accept_serves_concurrent_clients() {
     assert_eq!(outcome.edge_metrics.answers, 9);
 }
 
+/// Steady no-deadline load over many open connections: 64 clients on 4
+/// shards, four queries each over the prewarmed slots, with a queue deep
+/// enough for all of them. Everything is answered and nothing is
+/// rejected; every connection is accepted cleanly and, once drained, the
+/// `edge.conn_active` gauge is back at zero.
+#[test]
+fn sixty_four_connections_on_four_shards_are_all_answered() {
+    const CONNS: usize = 64;
+    const PER_CONN: usize = 4;
+    let f = fixture(20);
+    let obs = rtse_obs::ObsHandle::fresh();
+    let e = engine(&f).with_obs(obs.clone());
+    let slots = [SlotOfDay(36), SlotOfDay(102), SlotOfDay(156), SlotOfDay(216)];
+    let serve_cfg = ServeConfig {
+        queue_depth: CONNS * PER_CONN,
+        prewarm_slots: slots.to_vec(),
+        obs: obs.clone(),
+        ..serve_config()
+    };
+    let edge_cfg = EdgeConfig { shards: 4, obs: obs.clone(), ..Default::default() };
+    let outcome = edge_serve(&e, &world(&f), &serve_cfg, &edge_cfg, |edge| {
+        let clients: Vec<EdgeClient> =
+            (0..CONNS).map(|_| EdgeClient::connect(edge.addr()).expect("connect")).collect();
+        std::thread::scope(|scope| {
+            let tasks: Vec<_> = clients
+                .into_iter()
+                .enumerate()
+                .map(|(c, mut client)| {
+                    let slot = slots[c % slots.len()].0;
+                    scope.spawn(move || {
+                        (0..PER_CONN)
+                            .map(|q| {
+                                let roads = vec![((c * 3 + q) % 20) as u32];
+                                client.query(roads, slot, None, None).expect("reply")
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for task in tasks {
+                for reply in task.join().unwrap_or_else(|e| std::panic::resume_unwind(e)) {
+                    assert!(matches!(reply, ClientReply::Answer(_)), "got {reply:?}");
+                }
+            }
+        });
+    })
+    .expect("edge_serve");
+
+    let m = outcome.edge_metrics;
+    assert_eq!(m.accepted, CONNS as u64);
+    assert_eq!(m.answers, (CONNS * PER_CONN) as u64);
+    assert_eq!((m.rejects, m.protocol_errors), (0, 0));
+    assert_eq!(outcome.serve_metrics.rejected, 0);
+    if let Some(reg) = obs.registry() {
+        assert_eq!(reg.gauge(rtse_obs::Stage::EdgeConnActive), 0, "conn gauge drains to zero");
+    }
+}
+
+/// Overload over the wire: with serving paused and a queue of two, six
+/// connections each send one query with a 20 ms deadline. Four overflow
+/// the queue and two expire in it, and every one of the six comes back
+/// as a typed reject — never an answer.
+#[test]
+fn overload_comes_back_as_typed_rejects_on_the_wire() {
+    const CONNS: usize = 6;
+    const DEPTH: usize = 2;
+    const DEADLINE_MS: u32 = 20;
+    let f = fixture(21);
+    let e = engine(&f);
+    let serve_cfg = ServeConfig { queue_depth: DEPTH, ..serve_config() };
+    let outcome = edge_serve(&e, &world(&f), &serve_cfg, &edge_config(), |edge| {
+        edge.serve().pause();
+        let clients: Vec<EdgeClient> =
+            (0..CONNS).map(|_| EdgeClient::connect(edge.addr()).expect("connect")).collect();
+        std::thread::scope(|scope| {
+            let tasks: Vec<_> = clients
+                .into_iter()
+                .enumerate()
+                .map(|(c, mut client)| {
+                    scope.spawn(move || {
+                        client.query(vec![c as u32], 70, Some(DEADLINE_MS), None).expect("reply")
+                    })
+                })
+                .collect();
+            // Two admitted and four turned away; once the admitted pair's
+            // deadline has passed, let the workers pick them up.
+            let wait_limit = Instant::now() + Duration::from_secs(10);
+            while edge.serve().queue_len() < DEPTH
+                || edge.serve().metrics().rejected < (CONNS - DEPTH) as u64
+            {
+                assert!(Instant::now() < wait_limit, "the queue never filled");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            std::thread::sleep(Duration::from_millis(u64::from(DEADLINE_MS) + 5));
+            edge.serve().resume();
+            let codes: Vec<RejectCode> = tasks
+                .into_iter()
+                .map(|t| match t.join().unwrap_or_else(|e| std::panic::resume_unwind(e)) {
+                    ClientReply::Reject(r) => r.code,
+                    ClientReply::Answer(a) => panic!("overload must not answer: {a:?}"),
+                })
+                .collect();
+            let count = |code| codes.iter().filter(|&&c| c == code).count();
+            assert_eq!(count(RejectCode::QueueFull), CONNS - DEPTH);
+            assert_eq!(count(RejectCode::DeadlineExceeded), DEPTH);
+        });
+    })
+    .expect("edge_serve");
+    assert_eq!(outcome.edge_metrics.answers, 0);
+    assert_eq!(outcome.edge_metrics.rejects, CONNS as u64);
+    let serve = outcome.serve_metrics;
+    assert_eq!((serve.rejected, serve.shed), ((CONNS - DEPTH) as u64, DEPTH as u64));
+}
+
 #[test]
 fn rollover_prewarm_fills_the_next_slot_before_the_boundary() {
     let f = fixture(19);
@@ -360,15 +474,22 @@ fn rollover_prewarm_fills_the_next_slot_before_the_boundary() {
         // the *next* slot's cache generation went live before any client
         // ever asked for it.
         let deadline = Instant::now() + Duration::from_secs(15);
-        loop {
+        let warmed = loop {
             let now = Instant::now();
             let next = clock.next_slot(now);
             if edge.serve().cache_generation(next) >= 1 {
-                break;
+                break next;
             }
             assert!(Instant::now() < deadline, "prewarm never warmed the next slot");
             std::thread::sleep(Duration::from_millis(5));
-        }
+        };
+        // Past the boundary, the first wire query for the warmed slot is
+        // answered from the round the prewarm left behind.
+        std::thread::sleep(clock.until_next(Instant::now()));
+        let mut client = EdgeClient::connect(edge.addr()).expect("connect");
+        let reply = client.query(vec![0, 5], warmed.0, None, None).expect("reply");
+        let ClientReply::Answer(a) = reply else { panic!("expected answer, got {reply:?}") };
+        assert!(a.cache_hit, "the boundary query must hit the prewarmed round");
     })
     .expect("edge_serve");
 }

@@ -11,20 +11,20 @@
 //! selected crowdsourced roads. This crate implements all of them, along
 //! with plain-text/CSV table rendering shared by the experiment binaries.
 
-pub mod bootstrap;
 pub mod coverage;
 pub mod dape;
 pub mod geojson;
 pub mod metrics;
+mod quantile;
 pub mod results;
 pub mod table;
 pub mod timing;
 
-pub use bootstrap::{bootstrap_mean, bootstrap_paired_diff, quantile, Interval};
 pub use coverage::k_hop_coverage;
 pub use dape::dape_histogram;
 pub use geojson::{to_geojson, ScalarLayer};
 pub use metrics::{ape, ErrorReport, DEFAULT_FER_THRESHOLD};
+pub use quantile::quantile;
 pub use results::{results_dir_from_args, ResultsDir};
 pub use table::Table;
 pub use timing::{time_it, time_mean};

@@ -22,7 +22,6 @@ pub mod components;
 pub mod csr;
 pub mod dijkstra;
 pub mod generators;
-pub mod io;
 pub mod metrics;
 pub mod road;
 

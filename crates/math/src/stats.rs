@@ -390,9 +390,6 @@ mod tests {
 
 /// Welford-style single-pass accumulator for the covariance of a paired
 /// stream `(x, y)`.
-///
-/// Drives the incremental RTF updater: per-edge speed correlations must be
-/// refreshed as new days stream in without re-reading the whole history.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineCov {
     count: u64,

@@ -11,8 +11,7 @@
 //!   give p50/p90/p99 with O(1) memory and ≤25% relative error;
 //! * **[`SpanTimer`]** scopes time a region and record on drop;
 //! * **[`Registry::snapshot_json`]** renders the whole registry as one
-//!   JSON object, embedded into `BENCH_offline.json` /
-//!   `BENCH_serve.json` by the experiment binaries.
+//!   JSON object, embedded into `BENCH_offline.json` by `exp_offline`.
 //!
 //! Instrumentation is opt-in at runtime: the default [`ObsHandle`] is a
 //! no-op whose record calls are a single inlined branch and whose spans

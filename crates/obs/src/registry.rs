@@ -94,8 +94,8 @@ impl Registry {
     }
 
     /// The full snapshot rendered as one JSON object (see
-    /// [`RegistrySnapshot::to_json`]); embedded verbatim into the
-    /// BENCH_*.json reports by `exp_offline` / `exp_serve`.
+    /// [`RegistrySnapshot::to_json`]); embedded verbatim into
+    /// `BENCH_offline.json` by `exp_offline`.
     pub fn snapshot_json(&self) -> String {
         self.snapshot().to_json()
     }

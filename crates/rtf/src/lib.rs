@@ -35,10 +35,8 @@
 //! an independently checkable target.
 
 pub mod corr_table;
-pub mod daytype;
 pub mod diagnostics;
 pub mod gradients;
-pub mod incremental;
 mod json;
 pub mod likelihood;
 pub mod moments;
@@ -48,9 +46,7 @@ pub mod sparse_corr;
 pub mod trainer;
 
 pub use corr_table::{CorrelationTable, PathCorrelation};
-pub use daytype::{DayType, DayTypeModel};
 pub use diagnostics::{evaluate_model, ModelDiagnostics};
-pub use incremental::IncrementalModel;
 pub use moments::moment_estimate;
 pub use params::{RtfModel, SlotParams};
 pub use sparse_corr::{CorrTable, CorrelationRead, SparseCorrConfig, SparseCorrelationTable};

@@ -1,19 +1,10 @@
-//! Serving configuration and its environment knobs.
+//! Serving configuration.
 
 use crowd_rtse_core::OnlineConfig;
 use rtse_check::InvariantViolation;
 use rtse_data::{SlotOfDay, SLOTS_PER_DAY};
 use rtse_obs::ObsHandle;
 use std::time::Duration;
-
-/// Environment override for the micro-batch coalescing window, in
-/// milliseconds.
-pub const BATCH_WINDOW_ENV: &str = "RTSE_SERVE_BATCH_WINDOW_MS";
-/// Environment override for the bounded request-queue depth.
-pub const QUEUE_DEPTH_ENV: &str = "RTSE_SERVE_QUEUE_DEPTH";
-/// Environment override for the default per-request deadline, in
-/// milliseconds (unset = no deadline).
-pub const DEADLINE_ENV: &str = "RTSE_SERVE_DEADLINE_MS";
 
 /// Longest admissible batch window. Coalescing beyond this adds latency
 /// without adding sharing — the answer cache already covers slow repeats.
@@ -28,7 +19,7 @@ pub const MAX_WORKERS: usize = 1024;
 ///
 /// The defaults favor throughput under bursty same-slot load: a couple of
 /// milliseconds of coalescing, a queue deep enough to absorb bursts, no
-/// deadline (callers opt in per request or via [`DEADLINE_ENV`]).
+/// deadline (callers opt in per request or set `default_deadline`).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// How long a worker holds a batch open for more same-slot arrivals
@@ -85,30 +76,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// The default configuration with any `RTSE_SERVE_*` environment
-    /// overrides applied (see [`Self::with_env_overrides`]).
-    pub fn from_env() -> Self {
-        Self::default().with_env_overrides()
-    }
-
-    /// Applies the `RTSE_SERVE_*` environment overrides to `self`:
-    /// [`BATCH_WINDOW_ENV`], [`QUEUE_DEPTH_ENV`], [`DEADLINE_ENV`].
-    /// Unset or unparsable variables leave the field untouched.
-    pub fn with_env_overrides(mut self) -> Self {
-        if let Some(ms) = env_u64(BATCH_WINDOW_ENV) {
-            self.batch_window = Duration::from_millis(ms);
-        }
-        if let Some(depth) = env_u64(QUEUE_DEPTH_ENV) {
-            if depth >= 1 {
-                self.queue_depth = usize::try_from(depth).unwrap_or(usize::MAX);
-            }
-        }
-        if let Some(ms) = env_u64(DEADLINE_ENV) {
-            self.default_deadline = Some(Duration::from_millis(ms));
-        }
-        self
-    }
-
     /// Longest per-request deadline this deployment admits. A deadline is
     /// permission to stay queued; letting one run past the TTL would let a
     /// request be *answered* later than the freshness the server promises,
@@ -130,10 +97,6 @@ impl ServeConfig {
     pub fn staleness_bound(&self) -> Duration {
         self.ttl
     }
-}
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok().and_then(|raw| raw.trim().parse::<u64>().ok())
 }
 
 impl rtse_check::Validate for ServeConfig {
@@ -216,25 +179,5 @@ mod tests {
         let mut bad_theta = ServeConfig::default();
         bad_theta.online.theta = 1.5;
         assert_eq!(bad_theta.validate().expect_err("must fail").invariant, "serve.theta_in_range");
-    }
-
-    #[test]
-    fn env_overrides_parse_and_ignore_garbage() {
-        // Env mutation is process-global; run the combinations in one test
-        // to avoid cross-test races.
-        let base = ServeConfig::default();
-        std::env::set_var(BATCH_WINDOW_ENV, "25");
-        std::env::set_var(QUEUE_DEPTH_ENV, "not a number");
-        std::env::set_var(DEADLINE_ENV, " 150 ");
-        let cfg = base.clone().with_env_overrides();
-        assert_eq!(cfg.batch_window, Duration::from_millis(25));
-        assert_eq!(cfg.queue_depth, base.queue_depth, "garbage depth ignored");
-        assert_eq!(cfg.default_deadline, Some(Duration::from_millis(150)));
-        std::env::remove_var(BATCH_WINDOW_ENV);
-        std::env::remove_var(QUEUE_DEPTH_ENV);
-        std::env::remove_var(DEADLINE_ENV);
-        let cfg = ServeConfig::from_env();
-        assert_eq!(cfg.batch_window, base.batch_window);
-        assert_eq!(cfg.default_deadline, None);
     }
 }

@@ -23,7 +23,7 @@
 //! ```no_run
 //! use rtse_serve::{serve, ServeConfig, ServeRequest, ServeWorld};
 //! # fn demo(engine: &crowd_rtse_core::CrowdRtse<'_>, world: &ServeWorld<'_>) {
-//! let config = ServeConfig::from_env();
+//! let config = ServeConfig::default();
 //! let outcome = serve(engine, world, &config, |handle| {
 //!     handle.query(ServeRequest::new(vec![rtse_graph::RoadId(3)], rtse_data::SlotOfDay(96)))
 //! });
@@ -41,10 +41,7 @@ pub mod server;
 
 pub use cache::{AnswerCache, CacheOutcome, CachedRound, RoundData};
 pub use coherence::Coherence;
-pub use config::{
-    ServeConfig, BATCH_WINDOW_ENV, DEADLINE_ENV, MAX_BATCH_WINDOW, MAX_TTL, MAX_WORKERS,
-    QUEUE_DEPTH_ENV,
-};
+pub use config::{ServeConfig, MAX_BATCH_WINDOW, MAX_TTL, MAX_WORKERS};
 pub use error::ServeError;
 pub use metrics::{MetricsSnapshot, ServeMetrics, ServeSnapshot};
 pub use request::{ServeRequest, ServedAnswer, Ticket};

@@ -157,7 +157,7 @@ pub fn serve<R>(
     // Prewarm the per-slot correlation caches before any request is
     // admitted: a cold Γ build inside the first batch's compute would
     // stack on the batch window and surface as a `serve.queue_wait` tail
-    // (BENCH_serve.json's steady_mixed p99 regression). `prewarm` builds
+    // for every request queued behind it. `prewarm` builds
     // every row of the slot's table; rows are get-or-init, so duplicate
     // slots coalesce and already-warm slots return immediately.
     for &slot in &config.prewarm_slots {

@@ -371,6 +371,68 @@ fn eight_concurrent_clients_share_rounds_and_floats() {
     );
 }
 
+/// Steady unstaged load: concurrent clients cycle over several slots, and
+/// every query is answered with nothing shed or rejected. The coherent
+/// snapshot's `rounds == Σ generations` holds while the clients are still
+/// querying and again after they join.
+#[test]
+fn steady_multi_slot_clients_are_all_answered_with_coherent_snapshots() {
+    let f = fixture(61);
+    let e = engine(&f);
+    let slots = [SlotOfDay(36), SlotOfDay(102), SlotOfDay(156), SlotOfDay(216)];
+    let (clients, per_client) = (6usize, 6usize);
+    let config = ServeConfig { workers: 2, ..test_config() };
+
+    let outcome = serve(&e, &world(&f), &config, |handle| {
+        let served_once = std::sync::Barrier::new(clients + 1);
+        std::thread::scope(|scope| {
+            let tasks: Vec<_> = (0..clients)
+                .map(|c| {
+                    let (handle, served_once, slots) = (&handle, &served_once, &slots);
+                    scope.spawn(move || {
+                        for q in 0..per_client {
+                            let roads = vec![RoadId(((c * 3 + q) % 20) as u32)];
+                            let slot = slots[(c + q) % slots.len()];
+                            let answer = handle.query(ServeRequest::new(roads, slot));
+                            if q == 0 {
+                                served_once.wait();
+                            }
+                            answer.expect("no-deadline steady load is always answered");
+                        }
+                    })
+                })
+                .collect();
+            // Every client has been answered once and still has queries to
+            // send: snapshot until the last one finishes.
+            served_once.wait();
+            loop {
+                let snap = handle.coherent_snapshot();
+                assert_eq!(
+                    snap.metrics.rounds,
+                    snap.total_generations(),
+                    "coherent snapshot tore under live load"
+                );
+                if tasks.iter().all(|t| t.is_finished()) {
+                    break;
+                }
+                std::thread::yield_now();
+            }
+            for t in tasks {
+                t.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+            }
+        });
+        handle.coherent_snapshot()
+    })
+    .expect("server starts");
+
+    let drained = outcome.value;
+    assert_eq!(drained.metrics.rounds, drained.total_generations(), "diverged after join");
+    let m = outcome.metrics;
+    assert_eq!(m.answered, (clients * per_client) as u64);
+    assert_eq!((m.shed, m.rejected), (0, 0), "no-deadline load sheds and rejects nothing");
+    assert!(m.cache_hit_queries > 0, "repeat slots within the TTL hit the cache");
+}
+
 /// `prewarm_slots` builds the listed slots' correlation tables before the
 /// run closure (and therefore before any admission): the engine's obs
 /// registry already holds one `corr.dijkstra_row` span per road per listed

@@ -17,7 +17,7 @@
 //!   correlation tables;
 //! * [`ocs`] — crowdsourced-road selection (Ratio/Objective/Hybrid greedy,
 //!   exact solver);
-//! * [`gsp`] — graph-based speed propagation (sequential, parallel, and
+//! * [`gsp`] — graph-based speed propagation (cold, warm-started, and
 //!   incremental delta re-propagation from a previous fixed point);
 //! * [`pool`] — the shared scoped worker pool (`ComputePool`,
 //!   `RTSE_THREADS`) behind every parallel path above;
@@ -87,9 +87,9 @@ pub use rtse_serve as serve;
 /// Everything needed for typical use, importable in one line.
 pub mod prelude {
     pub use crowd_rtse_core::{
-        merge_queries, plan_daily_budget, variance_aware_select, CorrSubstrate, CrowdRtse,
-        DeltaPolicy, GspEstimator, MonitoringSession, OfflineArtifacts, OnlineConfig, PrevRound,
-        QueryAnswer, QueryError, RoundReport, SelectionStrategy, SpeedQuery, StepError,
+        plan_daily_budget, variance_aware_select, CorrSubstrate, CrowdRtse, DeltaPolicy,
+        GspEstimator, MonitoringSession, OfflineArtifacts, OnlineConfig, PrevRound, QueryAnswer,
+        QueryError, RoundReport, SelectionStrategy, SpeedQuery, StepError,
     };
     pub use rtse_baselines::{EstimationContext, Estimator, Grmc, LassoEstimator, Per};
     pub use rtse_check::{InvariantViolation, Validate};
@@ -117,9 +117,8 @@ pub mod prelude {
     };
     pub use rtse_pool::ComputePool;
     pub use rtse_rtf::{
-        moment_estimate, CorrTable, CorrelationRead, CorrelationTable, DayType, DayTypeModel,
-        IncrementalModel, InitStrategy, PathCorrelation, RtfModel, RtfTrainer, SparseCorrConfig,
-        SparseCorrelationTable,
+        moment_estimate, CorrTable, CorrelationRead, CorrelationTable, InitStrategy,
+        PathCorrelation, RtfModel, RtfTrainer, SparseCorrConfig, SparseCorrelationTable,
     };
     pub use rtse_serve::{
         serve, ServeConfig, ServeError, ServeOutcome, ServeRequest, ServeWorld, ServedAnswer,

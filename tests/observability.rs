@@ -168,6 +168,62 @@ fn serve_stage_counters_match_the_serve_metrics() {
     }
 }
 
+/// Forced same-slot recomputes under `DeltaPolicy::Delta`: every query
+/// sets `max_staleness` to zero and names a different road, so each one
+/// runs a new round whose OCS selection moves a little. Every round after
+/// the slot's first seeds from the previous one, so `gsp.delta_frontier`
+/// records once per seeded round, and a change that stays local skips
+/// relaxations a full sweep would pay.
+#[test]
+fn serve_delta_rounds_record_one_frontier_per_seeded_round() {
+    let graph = crowd_rtse::graph::generators::hong_kong_like(120, 2018);
+    let dataset =
+        TrafficGenerator::new(&graph, crowd_rtse::data::scenario::volatile(4, 2018)).generate();
+    let costs = uniform_costs(graph.num_roads(), CostRange::C2, 2018);
+    let obs = ObsHandle::fresh();
+    let model = moment_estimate(&graph, &dataset.history);
+    let engine = CrowdRtse::new(&graph, OfflineArtifacts::from_model(model)).with_obs(obs.clone());
+    let workers = WorkerPool::spawn(&graph, 60, 0.5, (0.3, 1.0), 2018);
+    let world = crowd_rtse::serve::ServeWorld { workers: &workers, costs: &costs, truth: &dataset };
+    let slot = SlotOfDay::from_hm(8, 30);
+    let config = ServeConfig {
+        batch_window: std::time::Duration::ZERO,
+        workers: 1,
+        prewarm_slots: vec![slot],
+        online: OnlineConfig {
+            budget: 30,
+            delta: DeltaPolicy::Delta { epsilon: 1e-6 },
+            ..Default::default()
+        },
+        obs: obs.clone(),
+        ..ServeConfig::default()
+    };
+
+    const ROUNDS: u64 = 6;
+    let outcome = serve(&engine, &world, &config, |handle| {
+        for q in 0..ROUNDS as u32 {
+            let request = ServeRequest::new(vec![RoadId(q * 7)], slot)
+                .with_max_staleness(std::time::Duration::ZERO);
+            handle.query(request).expect("forced delta rounds are always answered");
+        }
+    })
+    .expect("serve deploys");
+
+    assert_eq!(outcome.metrics.rounds, ROUNDS, "zero staleness recomputes every query");
+    if obs.is_enabled() {
+        let reg = obs.registry().expect("enabled handle has a registry");
+        assert_eq!(
+            reg.count(Stage::GspDeltaFrontier),
+            ROUNDS - 1,
+            "every round after the slot's first seeds from its predecessor"
+        );
+        assert!(
+            reg.count(Stage::GspDeltaSkipped) > 0,
+            "single-road-change rounds must skip relaxations a full sweep would pay"
+        );
+    }
+}
+
 /// The TCP front-end's stage counters are exact for a fixed workload:
 /// one `edge.accept` per connection, one `edge.frame_decode` span per
 /// complete frame off the wire, and the `edge.conn_active` gauge back to
