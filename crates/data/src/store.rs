@@ -133,24 +133,6 @@ impl HistoryStore {
         }
     }
 
-    /// Blanks out every day for which `keep` returns false (same shape,
-    /// non-matching days become missing). The samplers skip missing data,
-    /// so moment estimation on the result uses only the kept days.
-    pub fn retain_days(&self, keep: impl Fn(usize) -> bool) -> HistoryStore {
-        let mut out = self.clone();
-        for day in 0..self.num_days {
-            if keep(day) {
-                continue;
-            }
-            for slot in SlotOfDay::all() {
-                for v in out.snapshot_mut(day, slot) {
-                    *v = f64::NAN;
-                }
-            }
-        }
-        out
-    }
-
     /// Restricts the store to a subset of roads (remapped densely in the
     /// order given); used when training on induced sub-networks (Fig. 5).
     pub fn project_roads(&self, keep: &[RoadId]) -> HistoryStore {
@@ -227,21 +209,6 @@ mod tests {
         let rec = SpeedRecord::new(RoadId(0), TimeSlot::new(1, SlotOfDay(3)), 55.0);
         s.insert(&rec);
         assert_eq!(s.get(1, SlotOfDay(3), RoadId(0)), Some(55.0));
-    }
-
-    #[test]
-    fn retain_days_blanks_unkept() {
-        let mut s = HistoryStore::new(2, 4);
-        for day in 0..4 {
-            s.set(day, SlotOfDay(0), RoadId(0), day as f64 + 1.0);
-        }
-        let even = s.retain_days(|d| d % 2 == 0);
-        assert_eq!(even.get(0, SlotOfDay(0), RoadId(0)), Some(1.0));
-        assert_eq!(even.get(1, SlotOfDay(0), RoadId(0)), None);
-        assert_eq!(even.get(2, SlotOfDay(0), RoadId(0)), Some(3.0));
-        // Original untouched.
-        assert_eq!(s.get(1, SlotOfDay(0), RoadId(0)), Some(2.0));
-        assert_eq!(even.samples(RoadId(0), SlotOfDay(0)), vec![1.0, 3.0]);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! A minimal blocking client for the edge protocol.
 //!
 //! One connection, one request in flight: `connect → query → reply`.
-//! Tests, the README quickstart, and the load harness's warm-up path use
-//! this; the load harness's steady state drives nonblocking sockets with
-//! the frame codec directly to multiplex thousands of connections per
-//! worker process.
+//! The tests and the README quickstart use this. A client that keeps
+//! many requests in flight on one connection (perfbench's open-loop
+//! generator, for one) drives the socket with the frame codec directly
+//! and matches replies to requests by id.
 
 use crate::frame::{
     decode_frame, encode_frame, AnswerFrame, DecodeLimits, Frame, FrameError, GoAwayFrame,

@@ -11,13 +11,21 @@
 //! only cross-thread contention is the serving queue itself (which is
 //! the point: the queue is the backpressure boundary).
 //!
+//! A shard pass that makes no progress parks the thread for
+//! `IDLE_BACKOFF` (500 µs). A request the answer cache can serve resolves
+//! inside `submit`, in the same pass that decoded it. A queued request's
+//! ticket is resolved by a serve worker, which unparks the shard that
+//! submitted it, so the answer goes out on the next pass. Socket reads and
+//! accepts have no wake and are still polled every 500 µs.
+//!
 //! ## Admission path
 //!
 //! wire frame → [`crate::frame::decode_frame`] (fail-closed) →
 //! **bounds check** (a hostile deadline/staleness budget is a typed
 //! [`crate::frame::RejectCode`] before the request ever touches the
-//! queue) → [`rtse_serve::ServerHandle::submit`] → ticket tracked by
-//! request id → answer/reject frame on resolution.
+//! queue) → [`rtse_serve::ServerHandle::submit`] (a cache hit resolves
+//! here) → ticket tracked by request id → answer/reject frame on
+//! resolution.
 //!
 //! ## Drain
 //!
@@ -44,8 +52,11 @@ use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
-/// How long a shard sleeps when a full pump pass made no progress
-/// (nothing accepted, read, resolved, or written).
+/// How long a shard parks when a full pump pass made no progress
+/// (nothing accepted, read, resolved, or written). A serve worker that
+/// resolves one of the shard's tickets unparks it at once, so a computed
+/// answer is written as soon as it exists; sockets have no such wake, so
+/// new reads and accepts are still polled every 500 µs.
 const IDLE_BACKOFF: Duration = Duration::from_micros(500);
 
 /// Per-connection budget for the final blocking flush during drain.
@@ -311,7 +322,7 @@ fn shard_loop(listener: TcpListener, ctx: &ShardCtx<'_, '_>) {
             return;
         }
         if !progressed {
-            std::thread::sleep(IDLE_BACKOFF);
+            std::thread::park_timeout(IDLE_BACKOFF);
         }
     }
 }
@@ -446,7 +457,7 @@ fn drain_shard(mut conns: Vec<Conn>, ctx: &ShardCtx<'_, '_>) {
         if in_flight == 0 {
             break;
         }
-        std::thread::sleep(IDLE_BACKOFF);
+        std::thread::park_timeout(IDLE_BACKOFF);
     }
     for mut conn in conns {
         conn.push_goaway(GoAwayCode::ShuttingDown, String::new());

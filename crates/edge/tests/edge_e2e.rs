@@ -88,6 +88,28 @@ fn wire_answers_match_in_process_answers() {
     assert_eq!(outcome.edge_metrics.rejects, 0);
 }
 
+/// A wire query for a fresh slot is answered without waiting for the
+/// batch window: only a batch that computes waits it out.
+#[test]
+fn a_wire_hit_does_not_wait_for_the_window() {
+    let f = fixture(23);
+    let e = engine(&f);
+    let serve_cfg = ServeConfig { batch_window: Duration::from_millis(500), ..serve_config() };
+    edge_serve(&e, &world(&f), &serve_cfg, &edge_config(), |edge| {
+        let mut client = EdgeClient::connect(edge.addr()).expect("connect");
+        let first = client.query(vec![0, 4], 120, None, None).expect("reply");
+        assert!(matches!(first, ClientReply::Answer(_)), "expected answer, got {first:?}");
+
+        let started = Instant::now();
+        let reply = client.query(vec![2, 9], 120, None, None).expect("reply");
+        let took = started.elapsed();
+        let ClientReply::Answer(a) = reply else { panic!("expected answer, got {reply:?}") };
+        assert!(a.cache_hit, "the second query of the slot must hit the cache");
+        assert!(took < Duration::from_millis(50), "a wire hit waited {took:?}");
+    })
+    .expect("edge_serve");
+}
+
 #[test]
 fn hostile_budgets_are_typed_rejects_and_never_reach_the_queue() {
     let f = fixture(12);

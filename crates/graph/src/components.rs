@@ -35,25 +35,6 @@ pub fn connected_components(graph: &Graph) -> (Vec<usize>, usize) {
     (label, next)
 }
 
-/// Road ids of the largest connected component (ties broken by lowest
-/// component label). Empty for an empty graph.
-pub fn largest_component(graph: &Graph) -> Vec<RoadId> {
-    let (labels, count) = connected_components(graph);
-    if count == 0 {
-        return Vec::new();
-    }
-    let mut sizes = vec![0usize; count];
-    for &l in &labels {
-        sizes[l] += 1;
-    }
-    let best =
-        sizes.iter().enumerate().max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0))).map(|(i, _)| i);
-    let Some(best) = best else {
-        return Vec::new();
-    };
-    graph.road_ids().filter(|r| labels[r.index()] == best).collect()
-}
-
 /// Grows a connected sub-component of exactly `size` roads by BFS from
 /// `seed`, or `None` when the seed's component is smaller than `size`.
 ///
@@ -113,14 +94,6 @@ mod tests {
     }
 
     #[test]
-    fn largest_component_is_triangle() {
-        let g = fixture();
-        let mut comp = largest_component(&g);
-        comp.sort();
-        assert_eq!(comp, vec![RoadId(0), RoadId(1), RoadId(2)]);
-    }
-
-    #[test]
     fn grow_connected_subset_exact_size() {
         let g = fixture();
         let sub = grow_connected_subset(&g, RoadId(0), 2).unwrap();
@@ -144,6 +117,5 @@ mod tests {
         let (labels, count) = connected_components(&g);
         assert!(labels.is_empty());
         assert_eq!(count, 0);
-        assert!(largest_component(&g).is_empty());
     }
 }

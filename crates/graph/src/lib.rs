@@ -27,7 +27,7 @@ pub mod road;
 
 pub use bfs::{bfs_layers, hop_distances};
 pub use builder::GraphBuilder;
-pub use components::{connected_components, largest_component};
+pub use components::connected_components;
 pub use csr::{EdgeId, Graph};
 pub use dijkstra::{dijkstra, dijkstra_with_paths, BoundedDijkstra, ShortestPaths};
 pub use metrics::{average_degree, clustering_coefficient, degree_histogram, diameter_estimate};

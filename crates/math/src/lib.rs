@@ -29,7 +29,7 @@ pub use ridge::ridge_solve;
 pub use sparse::SparseMatrix;
 pub use stats::{
     mean, pearson, population_std, sample_std, try_mean, try_pearson, try_population_std,
-    try_sample_std, OnlineCov, OnlineStats, StatsError,
+    try_sample_std, StatsError,
 };
 
 /// Numerical tolerance used across the crate when comparing floats.

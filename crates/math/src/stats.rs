@@ -165,81 +165,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     }
 }
 
-/// Welford single-pass accumulator for mean and variance.
-///
-/// Used where the historical store streams records instead of materializing
-/// per-slot sample vectors.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct OnlineStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl OnlineStats {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds one observation in.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations folded in.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Current mean; 0 when empty.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance; 0 when empty.
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn population_std(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
-    /// Sample variance (`n - 1` denominator); 0 when fewer than 2 samples.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 += other.m2 + delta * delta * self.count as f64 * other.count as f64 / total as f64;
-        self.count = total;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,46 +252,6 @@ mod tests {
         assert_eq!(pearson(&[1.0, 1.0, 1.0], &[1.0, 2.0, 3.0]), 0.0);
     }
 
-    #[test]
-    fn online_matches_batch() {
-        let xs = [1.0, 2.0, 3.5, -4.0, 0.25];
-        let mut acc = OnlineStats::new();
-        for &x in &xs {
-            acc.push(x);
-        }
-        assert!(approx_eq(acc.mean(), mean(&xs), 1e-12));
-        assert!(approx_eq(acc.population_std(), population_std(&xs), 1e-12));
-        assert_eq!(acc.count(), xs.len() as u64);
-    }
-
-    #[test]
-    fn merge_matches_single_pass() {
-        let xs = [1.0, 2.0, 3.0];
-        let ys = [10.0, 20.0];
-        let mut a = OnlineStats::new();
-        xs.iter().for_each(|&x| a.push(x));
-        let mut b = OnlineStats::new();
-        ys.iter().for_each(|&y| b.push(y));
-        a.merge(&b);
-
-        let mut all = OnlineStats::new();
-        xs.iter().chain(ys.iter()).for_each(|&x| all.push(x));
-        assert!(approx_eq(a.mean(), all.mean(), 1e-12));
-        assert!(approx_eq(a.population_variance(), all.population_variance(), 1e-12));
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(5.0);
-        let before = a;
-        a.merge(&OnlineStats::new());
-        assert_eq!(a, before);
-        let mut empty = OnlineStats::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
     proptest! {
         #[test]
         fn pearson_bounded(
@@ -376,117 +261,5 @@ mod tests {
             let r = pearson(&xs, &ys);
             prop_assert!((-1.0..=1.0).contains(&r));
         }
-
-        #[test]
-        fn online_variance_nonnegative(xs in proptest::collection::vec(-1e6..1e6f64, 0..128)) {
-            let mut acc = OnlineStats::new();
-            for x in &xs {
-                acc.push(*x);
-            }
-            prop_assert!(acc.population_variance() >= 0.0);
-        }
-    }
-}
-
-/// Welford-style single-pass accumulator for the covariance of a paired
-/// stream `(x, y)`.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct OnlineCov {
-    count: u64,
-    mean_x: f64,
-    mean_y: f64,
-    m2_x: f64,
-    m2_y: f64,
-    comoment: f64,
-}
-
-impl OnlineCov {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds one pair in.
-    pub fn push(&mut self, x: f64, y: f64) {
-        self.count += 1;
-        let n = self.count as f64;
-        let dx = x - self.mean_x;
-        self.mean_x += dx / n;
-        self.m2_x += dx * (x - self.mean_x);
-        let dy = y - self.mean_y;
-        self.mean_y += dy / n;
-        self.m2_y += dy * (y - self.mean_y);
-        // Co-moment uses the updated mean_x and pre-update mean_y shift.
-        self.comoment += dx * (y - self.mean_y);
-    }
-
-    /// Number of pairs folded in.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Population covariance; 0 when empty.
-    pub fn population_cov(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.comoment / self.count as f64
-        }
-    }
-
-    /// Pearson correlation; 0 when either marginal is constant or fewer
-    /// than 2 pairs were seen.
-    pub fn pearson(&self) -> f64 {
-        if self.count < 2 {
-            return 0.0;
-        }
-        let denom = (self.m2_x * self.m2_y).sqrt();
-        if denom < 1e-12 {
-            0.0
-        } else {
-            (self.comoment / denom).clamp(-1.0, 1.0)
-        }
-    }
-}
-
-#[cfg(test)]
-mod online_cov_tests {
-    use super::*;
-    use crate::approx_eq;
-
-    #[test]
-    fn matches_batch_pearson() {
-        let xs = [1.0, 2.0, 4.0, 3.0, 5.5];
-        let ys = [2.1, 3.9, 8.3, 6.0, 10.8];
-        let mut acc = OnlineCov::new();
-        for (&x, &y) in xs.iter().zip(ys.iter()) {
-            acc.push(x, y);
-        }
-        assert!(approx_eq(acc.pearson(), pearson(&xs, &ys), 1e-12));
-        // Batch population covariance.
-        let mx = mean(&xs);
-        let my = mean(&ys);
-        let cov: f64 = xs.iter().zip(ys.iter()).map(|(x, y)| (x - mx) * (y - my)).sum::<f64>()
-            / xs.len() as f64;
-        assert!(approx_eq(acc.population_cov(), cov, 1e-12));
-    }
-
-    #[test]
-    fn degenerate_cases() {
-        let mut acc = OnlineCov::new();
-        assert_eq!(acc.pearson(), 0.0);
-        acc.push(1.0, 2.0);
-        assert_eq!(acc.pearson(), 0.0); // single pair
-        acc.push(1.0, 5.0); // x constant
-        assert_eq!(acc.pearson(), 0.0);
-    }
-
-    #[test]
-    fn perfect_correlation() {
-        let mut acc = OnlineCov::new();
-        for i in 0..10 {
-            acc.push(i as f64, 3.0 * i as f64 + 1.0);
-        }
-        assert!(approx_eq(acc.pearson(), 1.0, 1e-12));
     }
 }

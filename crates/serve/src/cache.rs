@@ -11,11 +11,15 @@
 //! Unlike the offline `OnceLock` cache, entries here age out: serving
 //! answers are staleness-bounded, so a hit requires the cached round to be
 //! younger than the caller's freshness requirement.
+//!
+//! `AnswerCache::fresh_round` is the lookup that never waits: it reads a
+//! slot only when its lock is free, so a slot mid-recompute reads as not
+//! fresh instead of stalling the reader behind the build.
 
 use crate::coherence::Coherence;
 use rtse_data::{SlotOfDay, SLOTS_PER_DAY};
 use rtse_graph::RoadId;
-use rtse_sync::{Arc, Mutex, MutexGuard, PoisonError};
+use rtse_sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 /// What a compute closure produces: the published full-network values
@@ -67,6 +71,12 @@ pub struct AnswerCache {
 
 fn lock_cell<'m>(cell: &'m Mutex<CacheCell>) -> MutexGuard<'m, CacheCell> {
     cell.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The one freshness test: a round answers a caller whose bound is
+/// `max_age` while it is no older than that.
+fn is_fresh(round: &CachedRound, max_age: Duration) -> bool {
+    round.computed_at.elapsed() <= max_age
 }
 
 impl Default for AnswerCache {
@@ -148,10 +158,8 @@ impl AnswerCache {
             return Ok(CacheOutcome { round, hit: false });
         };
         let mut cell = lock_cell(cell);
-        if let Some(round) = &cell.round {
-            if round.computed_at.elapsed() <= max_age {
-                return Ok(CacheOutcome { round: Arc::clone(round), hit: true });
-            }
+        if let Some(round) = cell.round.as_ref().filter(|r| is_fresh(r, max_age)) {
+            return Ok(CacheOutcome { round: Arc::clone(round), hit: true });
         }
         let generation = cell.generation + 1;
         // The expired entry stays in place until the recompute succeeds —
@@ -169,6 +177,24 @@ impl AnswerCache {
         });
         cell.round = Some(Arc::clone(&round));
         Ok(CacheOutcome { round, hit: false })
+    }
+
+    /// The slot's cached round when it is younger than `max_age`, without
+    /// waiting: the cell is read only if its lock is free. The lock is
+    /// held across a recompute, so a slot being rebuilt (or briefly read
+    /// by another caller) reads as not fresh, and the caller falls back to
+    /// [`Self::round_for_published`]. Out-of-range slots never cache.
+    pub(crate) fn fresh_round(
+        &self,
+        slot: SlotOfDay,
+        max_age: Duration,
+    ) -> Option<Arc<CachedRound>> {
+        let cell = match self.cells.get(slot.index())?.try_lock() {
+            Ok(cell) => cell,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        cell.round.as_ref().filter(|r| is_fresh(r, max_age)).map(Arc::clone)
     }
 
     /// The slot's current generation (0 = never computed). Diagnostics.
@@ -329,6 +355,53 @@ mod tests {
         for o in &outcomes[1..] {
             assert!(Arc::ptr_eq(&outcomes[0].round, &o.round));
         }
+    }
+
+    /// The freshness read never waits for a recompute: while a compute for
+    /// a warm slot is blocked, another thread's read of that slot returns
+    /// "not fresh" at once and other slots read normally; once the round is
+    /// published, the read returns it.
+    #[test]
+    fn fresh_reads_never_wait_for_a_recompute() {
+        let cache = AnswerCache::new();
+        let (slot, other) = (SlotOfDay(20), SlotOfDay(21));
+        let ttl = Duration::from_secs(60);
+        cache.round_for(slot, ttl, ok(vec![1.0])).expect("infallible");
+        cache.round_for(other, ttl, ok(vec![7.0])).expect("infallible");
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let (read_tx, read_rx) = std::sync::mpsc::channel();
+        let cache = &cache;
+        std::thread::scope(|scope| {
+            let recompute = scope.spawn(move || {
+                cache
+                    .round_for(slot, Duration::ZERO, |_, _| {
+                        entered_tx.send(()).expect("test thread alive");
+                        release_rx.recv().expect("released");
+                        Ok::<_, Infallible>(RoundData { values: vec![2.0], observations: vec![] })
+                    })
+                    .expect("infallible")
+            });
+            entered_rx.recv().expect("compute started");
+            scope.spawn(move || {
+                let reads = (
+                    cache.fresh_round(slot, ttl).is_some(),
+                    cache.fresh_round(other, ttl).map(|r| r.generation),
+                );
+                read_tx.send(reads).expect("test thread alive");
+            });
+            // Release the compute whatever happens, so a read that waits on
+            // it fails the assertion below instead of hanging the test.
+            let reads = read_rx.recv_timeout(Duration::from_secs(5));
+            release_tx.send(()).expect("compute alive");
+            let (slot_fresh, other_generation) = reads.expect("the read waited for the recompute");
+            assert!(!slot_fresh, "a slot mid-recompute must read as not fresh");
+            assert_eq!(other_generation, Some(1), "other slots read normally");
+            let rebuilt = recompute.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+            let read = cache.fresh_round(slot, ttl).expect("the published round reads fresh");
+            assert!(Arc::ptr_eq(&read, &rebuilt.round));
+            assert_eq!(read.generation, 2);
+        });
     }
 
     /// The coherent-publication contract: with writers publishing through

@@ -23,11 +23,15 @@ pub const MAX_WORKERS: usize = 1024;
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// How long a worker holds a batch open for more same-slot arrivals
-    /// after the first request is picked up. Zero disables coalescing-by-
-    /// waiting (queued same-slot requests still merge).
+    /// after the first request is picked up. Only a batch that will
+    /// compute a round waits: a request whose slot has a fresh enough
+    /// cached round is answered inside `submit`, and a queued batch whose
+    /// slot is already fresh is answered at pickup. Zero disables
+    /// coalescing-by-waiting (queued same-slot requests still merge).
     pub batch_window: Duration,
-    /// Bounded admission queue depth; submissions beyond it are rejected
-    /// with [`crate::ServeError::QueueFull`].
+    /// Bounded admission queue depth; submissions that must queue beyond
+    /// it are rejected with [`crate::ServeError::QueueFull`]. A request the
+    /// cache answers inside `submit` never occupies the queue.
     pub queue_depth: usize,
     /// Deadline applied to requests that do not carry their own. `None`
     /// means unlimited.

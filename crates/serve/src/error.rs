@@ -18,7 +18,9 @@ use std::time::Duration;
 pub enum ServeError {
     /// Admission control: the bounded request queue is at capacity.
     /// Back off and retry; [`crate::ServerHandle::pressure`] is the
-    /// backpressure signal to watch.
+    /// backpressure signal to watch. Only a request that must queue gets
+    /// it: a cache hit is answered inside `submit` and never occupies the
+    /// queue.
     QueueFull {
         /// The configured queue capacity that was hit.
         depth: usize,

@@ -8,10 +8,13 @@
 //! whole network. This crate exploits that: it puts a serving layer in
 //! front of the engine that
 //!
-//! - **micro-batches** concurrent same-slot queries into one shared round
-//!   ([`serve`], [`ServeConfig::batch_window`]),
 //! - **caches** each slot's round with TTL/staleness bounds and generation
-//!   counters ([`AnswerCache`]),
+//!   counters ([`AnswerCache`]); a request its slot's cached round can
+//!   answer is answered inside [`ServerHandle::submit`], with no queue,
+//!   worker hand-off or batch window,
+//! - **micro-batches** the rest: concurrent same-slot queries that need a
+//!   new round wait out [`ServeConfig::batch_window`] together and share
+//!   one round ([`serve`]),
 //! - **admits** work through a bounded queue with deadline-based load
 //!   shedding — overload and lateness surface as typed [`ServeError`]s,
 //!   never as silent drops or stale estimates.

@@ -87,7 +87,8 @@ impl ServeMetrics {
 /// A point-in-time copy of the serving counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
-    /// Requests admitted into the queue.
+    /// Requests admitted: queued, or answered inside `submit` from the
+    /// cache.
     pub submitted: u64,
     /// Requests answered with an estimate.
     pub answered: u64,
@@ -100,7 +101,7 @@ pub struct MetricsSnapshot {
     /// Answered requests served from the slot cache.
     pub cache_hit_queries: u64,
     /// Batches fanned out (each batch shares one round or one cached
-    /// round).
+    /// round). A request answered inside `submit` is a batch of one.
     pub batches: u64,
     /// Total requests across those batches.
     pub batched_queries: u64,

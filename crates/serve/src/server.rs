@@ -11,18 +11,32 @@
 //!
 //! ## Batching semantics
 //!
-//! Requests are grouped by slot. A worker that picks up a request also
-//! takes every queued request for the same slot, then holds the batch
-//! open for [`crate::ServeConfig::batch_window`] to catch stragglers. The
-//! batch is answered by **one** OCS→crowd→GSP round over the union of the
-//! batch's roads: GSP's output covers the whole network, so the shared
-//! round answers every waiter exactly as a fresh
+//! A request whose slot already has a round younger than its
+//! `max_staleness` (default: the TTL) is answered inside
+//! [`ServerHandle::submit`], on the submitting thread: it takes no queue
+//! slot, no worker hand-off and no batch window, and counts as a batch of
+//! one cache hit. A slot whose round is being recomputed reads as not
+//! fresh (the read never waits on the build), and a paused server answers
+//! nothing inline.
+//!
+//! Every other request is queued and grouped by slot. A worker that picks
+//! up a request also takes every queued request for the same slot. If the
+//! slot is already fresh for the batch's strictest member, the batch is
+//! answered from the cache at once; otherwise the worker holds it open for
+//! [`crate::ServeConfig::batch_window`] to catch stragglers, so misses
+//! coalesce. The batch is answered by **one** OCS→crowd→GSP round over the
+//! union of the batch's roads: GSP's output covers the whole network, so
+//! the shared round answers every waiter exactly as a fresh
 //! [`CrowdRtse::answer_query`] for the merged query would — bit-identical
-//! (property-tested in `tests/serve_equivalence.rs`).
+//! (property-tested in `tests/serve_equivalence.rs`). Resolving a queued
+//! request unparks the thread that submitted it, so a polling client (the
+//! edge shard) can sleep in `std::thread::park_timeout` and wake on its
+//! answer.
 //!
 //! ## Admission control
 //!
-//! The request queue is bounded ([`crate::ServeError::QueueFull`]),
+//! The request queue is bounded ([`crate::ServeError::QueueFull`]; a
+//! request the cache answers inline never occupies it),
 //! deadlines shed late requests with a typed error before *and* after the
 //! round (never a stale estimate), and [`ServerHandle::pressure`] exposes
 //! queue occupancy as the backpressure signal.
@@ -40,8 +54,9 @@ use rtse_graph::RoadId;
 use rtse_obs::Stage;
 use rtse_pool::ComputePool;
 use rtse_sync::mpsc::{channel, Sender};
-use rtse_sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use rtse_sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::collections::VecDeque;
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 /// The physical world one serving deployment probes: the live crowd, the
@@ -80,6 +95,19 @@ struct Pending {
     max_staleness: Option<Duration>,
     submitted_at: Instant,
     reply: Sender<Reply>,
+    /// The thread that queued the request, unparked when it resolves.
+    /// `None` for a request answered inline on its submitting thread.
+    submitter: Option<Thread>,
+}
+
+impl Pending {
+    /// Resolves the request's ticket and wakes the thread that queued it.
+    fn resolve(&self, reply: Reply) {
+        let _ = self.reply.send(reply);
+        if let Some(thread) = &self.submitter {
+            thread.unpark();
+        }
+    }
 }
 
 struct QueueState {
@@ -227,63 +255,73 @@ impl ServerHandle<'_> {
     /// Admits a request, returning a [`Ticket`] that resolves when the
     /// serving workers answer it.
     ///
+    /// When the request's slot already has a round younger than its
+    /// `max_staleness` (default: the TTL) and the server is not paused,
+    /// the request is answered here, on the calling thread, and the
+    /// returned ticket has already resolved. Otherwise it is queued, and
+    /// the calling thread is unparked when a worker resolves the ticket.
+    ///
     /// Typed rejections at admission: an empty road list
     /// ([`ServeError::EmptyQuery`]), an out-of-range road or slot, a full
-    /// queue ([`ServeError::QueueFull`] — the backpressure path), or a
-    /// draining server ([`ServeError::ShuttingDown`]).
+    /// queue ([`ServeError::QueueFull`] — the backpressure path; only a
+    /// request that must queue can hit it), or a draining server
+    /// ([`ServeError::ShuttingDown`]).
     pub fn submit(&self, request: ServeRequest) -> Result<Ticket, ServeError> {
         let now = Instant::now();
-        let ServeRequest { roads, slot, deadline, max_staleness } = request;
-        let query = SpeedQuery::try_new(roads, slot)?;
+        let config = self.shared.config;
+        let query = SpeedQuery::try_new(request.roads, request.slot)?;
         let num_roads = self.shared.engine.graph().num_roads();
         if let Some(&road) = query.roads.iter().find(|r| r.index() >= num_roads) {
             return Err(ServeError::RoadOutOfRange { road, num_roads });
         }
-        if slot.index() >= SLOTS_PER_DAY {
-            return Err(ServeError::SlotOutOfRange { slot });
+        if query.slot.index() >= SLOTS_PER_DAY {
+            return Err(ServeError::SlotOutOfRange { slot: query.slot });
         }
         // Budget bounds are admission checks, not clamps: a hostile
         // deadline must not park a request past the promised freshness,
         // and a loose max_staleness must not let a cached round older
         // than the TTL answer it (the batch freshness bound is the
         // minimum over members — a lone request is its own batch).
-        if let Some(budget) = deadline {
-            let bound = self.shared.config.deadline_bound();
-            if budget > bound {
-                return Err(ServeError::DeadlineOutOfBounds { requested: budget, bound });
-            }
-        }
-        if let Some(budget) = max_staleness {
-            let bound = self.shared.config.staleness_bound();
-            if budget > bound {
-                return Err(ServeError::StalenessOutOfBounds { requested: budget, bound });
-            }
-        }
-        let deadline = deadline
-            .or(self.shared.config.default_deadline)
-            .and_then(|budget| now.checked_add(budget));
+        let deadline =
+            admit_budget(request.deadline, config.default_deadline, config.deadline_bound())
+                .map_err(|(requested, bound)| ServeError::DeadlineOutOfBounds { requested, bound })?
+                .and_then(|budget| now.checked_add(budget));
+        let max_staleness = admit_budget(request.max_staleness, None, config.staleness_bound())
+            .map_err(|(requested, bound)| ServeError::StalenessOutOfBounds { requested, bound })?;
         let (tx, rx) = channel();
-        let pending = Pending {
+        let mut pending = Pending {
             roads: query.roads,
-            slot,
+            slot: query.slot,
             deadline,
             max_staleness,
             submitted_at: now,
             reply: tx,
+            submitter: None,
         };
-        {
-            let mut st = lock(&self.shared.state);
-            if !st.accepting {
-                return Err(ServeError::ShuttingDown);
-            }
-            if st.queue.len() >= self.shared.config.queue_depth {
-                self.shared.metrics.note_rejected();
-                return Err(ServeError::QueueFull { depth: self.shared.config.queue_depth });
-            }
-            st.queue.push_back(pending);
+        let fresh = self.shared.cache.fresh_round(pending.slot, max_age_of(self.shared, &pending));
+        let mut st = lock(&self.shared.state);
+        if !st.accepting {
+            return Err(ServeError::ShuttingDown);
         }
-        self.shared.metrics.note_submitted();
-        self.shared.arrivals.notify_all();
+        match fresh {
+            Some(round) if !st.paused => {
+                drop(st);
+                self.shared.metrics.note_submitted();
+                answer_hit(self.shared, pending, round);
+            }
+            _ => {
+                if st.queue.len() >= config.queue_depth {
+                    drop(st);
+                    self.shared.metrics.note_rejected();
+                    return Err(ServeError::QueueFull { depth: config.queue_depth });
+                }
+                pending.submitter = Some(std::thread::current());
+                st.queue.push_back(pending);
+                drop(st);
+                self.shared.metrics.note_submitted();
+                self.shared.arrivals.notify_all();
+            }
+        }
         Ok(Ticket { rx })
     }
 
@@ -333,8 +371,10 @@ impl ServerHandle<'_> {
     }
 
     /// Holds the serving workers: admitted requests queue up but none is
-    /// picked up until [`Self::resume`]. Load generators and tests use
-    /// this to stage a burst and measure pure coalescing deterministically.
+    /// picked up until [`Self::resume`]. Cache hits are held too: a paused
+    /// server answers nothing inline, so a request for a fresh slot queues
+    /// like any other. Load generators and tests use this to stage a burst
+    /// and measure pure coalescing deterministically.
     pub fn pause(&self) {
         lock(&self.shared.state).paused = true;
     }
@@ -346,12 +386,47 @@ impl ServerHandle<'_> {
     }
 }
 
+/// Admission bound on a client budget (a deadline or a staleness bound):
+/// a budget within `bound` is admitted and no budget defers to the
+/// server's `default`; a larger one is `Err((requested, bound))` for the
+/// caller's typed rejection. The bound applies to client budgets only:
+/// the operator configured the default.
+fn admit_budget(
+    budget: Option<Duration>,
+    default: Option<Duration>,
+    bound: Duration,
+) -> Result<Option<Duration>, (Duration, Duration)> {
+    match budget {
+        Some(requested) if requested > bound => Err((requested, bound)),
+        Some(requested) => Ok(Some(requested)),
+        None => Ok(default),
+    }
+}
+
 /// One serving loop: repeatedly assemble a same-slot batch and answer it.
+/// Only a batch that will compute waits out the window: one whose slot is
+/// already fresh for its strictest member is answered from the cache at
+/// once.
 fn worker_loop(shared: &Shared<'_>) {
     while let Some(mut batch) = next_batch(shared) {
-        extend_batch_over_window(shared, &mut batch);
+        let max_age = strictest_max_age(shared, &batch);
+        let fresh = batch.first().and_then(|p| shared.cache.fresh_round(p.slot, max_age));
+        if fresh.is_none() {
+            extend_batch_over_window(shared, &mut batch);
+        }
         serve_batch(shared, batch);
     }
+}
+
+/// How fresh a round must be to answer `pending`: its `max_staleness`,
+/// defaulting to the TTL.
+fn max_age_of(shared: &Shared<'_>, pending: &Pending) -> Duration {
+    pending.max_staleness.unwrap_or(shared.config.ttl)
+}
+
+/// The freshness bound a group of requests shares: the strictest member's.
+fn strictest_max_age(shared: &Shared<'_>, requests: &[Pending]) -> Duration {
+    requests.iter().map(|p| max_age_of(shared, p)).min().unwrap_or(shared.config.ttl)
 }
 
 /// Blocks until a request is available and returns it together with every
@@ -435,8 +510,7 @@ fn serve_batch(shared: &Shared<'_>, batch: Vec<Pending>) {
     let Some(slot) = live.first().map(|p| p.slot) else { return };
 
     // The strictest waiter decides how fresh the round must be.
-    let ttl = shared.config.ttl;
-    let max_age = live.iter().map(|p| p.max_staleness.unwrap_or(ttl)).min().unwrap_or(ttl);
+    let max_age = strictest_max_age(shared, &live);
 
     // Canonical batch query: the union of every waiter's roads. One round
     // over the union answers everyone (GSP output covers the network).
@@ -465,10 +539,19 @@ fn serve_batch(shared: &Shared<'_>, batch: Vec<Pending>) {
         }
         Err(e) => {
             for pending in live {
-                let _ = pending.reply.send(Err(e.clone()));
+                pending.resolve(Err(e.clone()));
             }
         }
     }
+}
+
+/// Answers a request inline from a fresh cached round, on the thread that
+/// submitted it: a batch of one cache hit whose queue wait is the time from
+/// submission to answer.
+fn answer_hit(shared: &Shared<'_>, pending: Pending, round: Arc<CachedRound>) {
+    shared.config.obs.record_duration(Stage::ServeQueueWait, pending.submitted_at.elapsed());
+    shared.metrics.note_batch(1);
+    respond(shared, pending, &CacheOutcome { round, hit: true }, 1);
 }
 
 /// Sheds `pending` with the typed deadline error if it is past due at
@@ -480,7 +563,7 @@ fn shed_if_expired(shared: &Shared<'_>, pending: &Pending, now: Instant) -> bool
     }
     shared.metrics.note_shed();
     let missed_by = now.saturating_duration_since(deadline);
-    let _ = pending.reply.send(Err(ServeError::DeadlineExceeded { missed_by }));
+    pending.resolve(Err(ServeError::DeadlineExceeded { missed_by }));
     true
 }
 
@@ -524,7 +607,7 @@ fn compute_round(
 /// Fans one waiter's answer out of the shared round, re-checking its
 /// deadline so a request that expired *during* the round still gets the
 /// typed rejection and never a late estimate.
-fn respond(shared: &Shared<'_>, pending: Pending, cached: &CacheOutcome, batch_size: usize) {
+fn respond(shared: &Shared<'_>, mut pending: Pending, cached: &CacheOutcome, batch_size: usize) {
     let now = Instant::now();
     if shed_if_expired(shared, &pending, now) {
         return;
@@ -535,7 +618,7 @@ fn respond(shared: &Shared<'_>, pending: Pending, cached: &CacheOutcome, batch_s
     let mut estimates: Vec<f64> = Vec::with_capacity(pending.roads.len());
     estimates.extend(pending.roads.iter().map(|r| cached.round.values[r.index()]));
     let answer = ServedAnswer {
-        roads: pending.roads,
+        roads: std::mem::take(&mut pending.roads),
         estimates,
         slot: pending.slot,
         generation: cached.round.generation,
@@ -551,5 +634,5 @@ fn respond(shared: &Shared<'_>, pending: Pending, cached: &CacheOutcome, batch_s
         }
     }
     shared.metrics.note_answered(cached.hit);
-    let _ = pending.reply.send(Ok(answer));
+    pending.resolve(Ok(answer));
 }

@@ -10,7 +10,7 @@ use rtse_data::{SlotOfDay, SynthConfig, SynthDataset, TrafficGenerator};
 use rtse_graph::generators::grid;
 use rtse_graph::{Graph, RoadId};
 use rtse_serve::{serve, ServeConfig, ServeError, ServeRequest, ServeWorld};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 struct Fixture {
     graph: Graph,
@@ -254,6 +254,116 @@ fn full_queue_rejects_with_typed_error_and_backpressure_signal() {
     let (a, b) = outcome.value;
     assert!(a.is_ok() && b.is_ok(), "admitted requests are answered on drain");
     assert_eq!(outcome.metrics.rejected, 1);
+}
+
+/// A request for a fresh slot is answered inside `submit`: it needs no
+/// worker, no queue slot and no batch window. The only worker is held in
+/// a cold batch's 500 ms window and a second cold request fills the
+/// queue, yet the hit comes back at once; a cold request still gets
+/// `QueueFull`.
+#[test]
+fn a_hit_needs_no_worker_queue_slot_or_window() {
+    let f = fixture(67);
+    let e = engine(&f);
+    let (warm, a, b, d) = (SlotOfDay(40), SlotOfDay(41), SlotOfDay(42), SlotOfDay(43));
+    let config =
+        ServeConfig { queue_depth: 1, batch_window: Duration::from_millis(500), ..test_config() };
+
+    let outcome = serve(&e, &world(&f), &config, |handle| {
+        handle.query(ServeRequest::new(vec![RoadId(1)], warm)).expect("warm-up answered");
+        let rounds = handle.metrics().rounds;
+        let cold_a = handle.submit(ServeRequest::new(vec![RoadId(2)], a)).expect("admitted");
+        // The only worker has picked A up and holds its window open.
+        while handle.queue_len() > 0 {
+            std::thread::yield_now();
+        }
+        let cold_b = handle.submit(ServeRequest::new(vec![RoadId(3)], b)).expect("admitted");
+
+        let started = Instant::now();
+        let hit = handle.query(ServeRequest::new(vec![RoadId(4)], warm)).expect("hit answered");
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(50), "a hit waited {took:?}");
+        assert!(hit.cache_hit);
+        assert_eq!(hit.batch_size, 1);
+        assert_eq!(hit.generation, 1);
+        assert_eq!(handle.metrics().rounds, rounds, "a hit costs no round");
+
+        let overflow = handle.submit(ServeRequest::new(vec![RoadId(5)], d));
+        assert_eq!(overflow.err(), Some(ServeError::QueueFull { depth: 1 }));
+        (cold_a.wait(), cold_b.wait())
+    })
+    .expect("server starts");
+
+    let (a, b) = outcome.value;
+    assert!(a.is_ok() && b.is_ok(), "the queued misses are answered afterwards");
+}
+
+/// Requests for a stale slot still wait out the window and share one
+/// round: answering fresh slots early leaves coalescing of misses intact.
+#[test]
+fn requests_for_a_stale_slot_still_share_one_round() {
+    let f = fixture(71);
+    let e = engine(&f);
+    let slot = SlotOfDay(150);
+    let racers = 4;
+    let config = ServeConfig { batch_window: Duration::from_millis(500), ..test_config() };
+
+    let outcome = serve(&e, &world(&f), &config, |handle| {
+        handle.query(ServeRequest::new(vec![RoadId(0)], slot)).expect("warm-up answered");
+        let start = std::sync::Barrier::new(racers);
+        std::thread::scope(|scope| {
+            let tasks: Vec<_> = (0..racers)
+                .map(|i| {
+                    let (handle, start) = (&handle, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let roads = vec![RoadId(i as u32 + 1)];
+                        handle.query(
+                            ServeRequest::new(roads, slot).with_max_staleness(Duration::ZERO),
+                        )
+                    })
+                })
+                .collect();
+            tasks
+                .into_iter()
+                .map(|t| t.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect::<Vec<_>>()
+        })
+    })
+    .expect("server starts");
+
+    for answer in outcome.value {
+        let answer = answer.expect("answered");
+        assert_eq!(answer.generation, 2);
+        assert!(!answer.cache_hit);
+        assert_eq!(answer.batch_size, racers, "the stale-slot requests shared one batch");
+    }
+    assert_eq!(outcome.metrics.rounds, 2);
+}
+
+/// A paused server answers nothing, cache hits included: a request for a
+/// fresh slot queues until `resume`, then comes back as a hit.
+#[test]
+fn pause_holds_cache_hits_too() {
+    let f = fixture(73);
+    let e = engine(&f);
+    let slot = SlotOfDay(180);
+    let config = test_config();
+
+    let outcome = serve(&e, &world(&f), &config, |handle| {
+        handle.query(ServeRequest::new(vec![RoadId(0)], slot)).expect("warm-up answered");
+        handle.pause();
+        let ticket = handle.submit(ServeRequest::new(vec![RoadId(1)], slot)).expect("admitted");
+        assert_eq!(handle.queue_len(), 1, "a paused server queues a hit");
+        assert!(ticket.poll().is_none(), "a paused server answers nothing");
+        handle.resume();
+        ticket.wait()
+    })
+    .expect("server starts");
+
+    let answer = outcome.value.expect("answered after resume");
+    assert!(answer.cache_hit);
+    assert_eq!(answer.generation, 1);
 }
 
 /// Malformed requests are rejected at admission with typed errors: empty

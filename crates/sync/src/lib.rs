@@ -41,10 +41,14 @@ pub const BACKEND: &str = "std";
 pub use loom;
 
 #[cfg(rtse_loom)]
-pub use loom::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, OnceLock, PoisonError};
+pub use loom::sync::{
+    Arc, Condvar, LockResult, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError,
+};
 
 #[cfg(not(rtse_loom))]
-pub use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, OnceLock, PoisonError};
+pub use std::sync::{
+    Arc, Condvar, LockResult, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError,
+};
 
 // No loom counterpart: available on the std backend only (fail-closed —
 // see the crate docs).

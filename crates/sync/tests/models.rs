@@ -13,11 +13,12 @@
 //! |---|---|
 //! | seqlock write/read | `rtse-serve/src/coherence.rs` |
 //! | cold-miss coalescing + coherent publication | `rtse-serve/src/cache.rs::round_for_published` |
+//! | non-blocking freshness read | `rtse-serve/src/cache.rs::fresh_round` |
 //! | once-per-slot build | `crates/core/src/offline.rs::corr_entry`, `crates/rtf/src/corr_table.rs::row` |
 //! | histogram record/merge | `rtse-obs/src/hist.rs` |
 
-use rtse_sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
-use rtse_sync::{model, thread, Arc, Mutex, OnceLock, PoisonError};
+use rtse_sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use rtse_sync::{model, thread, Arc, Mutex, OnceLock, PoisonError, TryLockError};
 
 /// Mirror of `rtse_serve::coherence::Coherence` (same orderings).
 #[derive(Default)]
@@ -110,6 +111,8 @@ fn coherence_writers_serialize_and_retries_terminate() {
 /// the slot lock is held across `compute`, and the generation store plus
 /// the rounds bump publish inside one coherence write section. Freshness
 /// is a boolean here (loom has no clock): `fresh` = cached entries hit.
+/// A round's value is its generation × 10, so a reader can tell whether
+/// the round and generation it saw belong together.
 struct SlotCache {
     cell: Mutex<SlotCell>,
 }
@@ -124,13 +127,15 @@ impl SlotCache {
         Self { cell: Mutex::new(SlotCell { generation: 0, round: None }) }
     }
 
-    /// `round_for_published` for one slot, freshness fixed at `fresh`.
+    /// `round_for_published` for one slot, freshness fixed at `fresh`;
+    /// `compute` runs with the slot lock held, as the real one does.
     fn round_for(
         &self,
         fresh: bool,
         gate: &Coherence,
         builds: &AtomicUsize,
         rounds: &AtomicU64,
+        compute: impl FnOnce(),
     ) -> u64 {
         let mut cell = self.cell.lock().unwrap_or_else(PoisonError::into_inner);
         if fresh {
@@ -140,6 +145,7 @@ impl SlotCache {
         }
         let generation = cell.generation + 1;
         builds.fetch_add(1, Ordering::Relaxed);
+        compute();
         let value = generation * 10;
         gate.write(|| {
             cell.generation = generation;
@@ -147,6 +153,18 @@ impl SlotCache {
         });
         cell.round = Some(value);
         value
+    }
+
+    /// `fresh_round` for one slot: reads the cell only when its lock is
+    /// free, and returns the published round with its generation.
+    fn fresh_round(&self, fresh: bool) -> Option<(u64, u64)> {
+        let cell = match self.cell.try_lock() {
+            Ok(cell) => cell,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        let round = cell.round.filter(|_| fresh)?;
+        Some((round, cell.generation))
     }
 
     fn generation(&self) -> u64 {
@@ -172,7 +190,7 @@ fn answer_cache_cold_misses_coalesce_into_one_build() {
                     Arc::clone(&builds),
                     Arc::clone(&rounds),
                 );
-                thread::spawn(move || cache.round_for(true, &gate, &builds, &rounds))
+                thread::spawn(move || cache.round_for(true, &gate, &builds, &rounds, || ()))
             })
             .collect();
         let values: Vec<u64> = handles.into_iter().map(|h| h.join().expect("caller")).collect();
@@ -203,7 +221,7 @@ fn answer_cache_generation_bumps_publish_coherently() {
                     Arc::clone(&builds),
                     Arc::clone(&rounds),
                 );
-                thread::spawn(move || cache.round_for(false, &gate, &builds, &rounds))
+                thread::spawn(move || cache.round_for(false, &gate, &builds, &rounds, || ()))
             })
             .collect();
         let (r, g) = gate.read(|| (rounds.load(Ordering::Relaxed), cache.generation()));
@@ -213,6 +231,48 @@ fn answer_cache_generation_bumps_publish_coherently() {
         }
         assert_eq!(builds.load(Ordering::Relaxed), 2);
         assert_eq!(cache.generation(), 2, "a generation bump was lost");
+        assert_eq!(rounds.load(Ordering::Relaxed), 2);
+    });
+}
+
+/// Protocol 2c — the non-blocking freshness read: a reader racing a
+/// rebuild of a warm slot never waits for it, and returns either nothing
+/// or the published round together with that round's generation. The
+/// rebuild's compute cannot finish until the reader has returned, so a
+/// read that waited on the slot lock would deadlock the model.
+#[test]
+fn answer_cache_fresh_read_never_waits_for_a_rebuild() {
+    model::check(|| {
+        let cache = Arc::new(SlotCache::new());
+        let gate = Arc::new(Coherence::default());
+        let builds = Arc::new(AtomicUsize::new(0));
+        let rounds = Arc::new(AtomicU64::new(0));
+        let read_done = Arc::new(AtomicBool::new(false));
+        cache.round_for(false, &gate, &builds, &rounds, || ());
+        let rebuild = {
+            let (cache, gate, builds, rounds, read_done) = (
+                Arc::clone(&cache),
+                Arc::clone(&gate),
+                Arc::clone(&builds),
+                Arc::clone(&rounds),
+                Arc::clone(&read_done),
+            );
+            thread::spawn(move || {
+                cache.round_for(false, &gate, &builds, &rounds, || {
+                    while !read_done.load(Ordering::Acquire) {
+                        rtse_sync::hint::spin_loop();
+                    }
+                })
+            })
+        };
+        let read = cache.fresh_round(true);
+        read_done.store(true, Ordering::Release);
+        if let Some((round, generation)) = read {
+            assert_eq!(round, generation * 10, "the read tore a round from its generation");
+            assert_eq!(generation, 1, "the read saw a round the rebuild had not published");
+        }
+        assert_eq!(rebuild.join().expect("rebuild"), 20);
+        assert_eq!(cache.generation(), 2);
         assert_eq!(rounds.load(Ordering::Relaxed), 2);
     });
 }
